@@ -14,150 +14,4 @@ specs into solved allocations, baselines/synthetic/config/runner/cli are
 the benchmarking and execution harness.
 """
 
-from .allocate import (
-    Allocation,
-    MosapSpec,
-    build_budget_sdp,
-    build_pareto_sdp,
-    build_tolerance_sdp,
-    integer_projection,
-    pareto_sweep,
-    solve_mosap,
-    systems_from_store,
-)
-from .baselines import (
-    BaselineAllocation,
-    mfmc_allocation,
-    mfmc_variance,
-    mlmc_allocation,
-    mlmc_levels,
-    mlmc_variance,
-    multi_output_baseline,
-)
-from .config import (
-    ConfigError,
-    ProblemConfig,
-    load_problem,
-    parse_problem,
-    save_problem,
-)
-from .covariance import (
-    CovarianceStore,
-    PilotBatch,
-    UnknownCovarianceError,
-    estimate_decay_rate,
-    extract_group_covariance,
-    reconstruct_highfi_covariance,
-    richardson_extrapolate,
-    sample_covariance,
-    spd_repair,
-)
-from .estimator import (
-    BlueSystem,
-    IllPosedError,
-    assemble_psi,
-    blue_variance,
-    combine_samples,
-    null_space_basis,
-    pseudo_inverse,
-    realized_variance,
-)
-from .models import (
-    GroupSet,
-    ModelSet,
-    check_budget_feasibility,
-    enumerate_groups,
-    restriction_indices,
-)
-from .runner import (
-    EstimateReport,
-    EvaluatorError,
-    allocation_from_json,
-    allocation_to_json,
-    baseline_to_json,
-    efficiency_report,
-    emit_outputs,
-    frontier_to_csv,
-    normalized_error,
-    report_to_json,
-    run_estimate,
-    spec_from_config,
-)
-from .sdp import (
-    PsdBlock,
-    SdpProblem,
-    SdpSettings,
-    SdpSolution,
-    dump_problem,
-    solve_sdp,
-    verify_schur_feasibility,
-)
-from .synthetic import SyntheticSuite
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Allocation",
-    "BaselineAllocation",
-    "BlueSystem",
-    "ConfigError",
-    "CovarianceStore",
-    "EstimateReport",
-    "EvaluatorError",
-    "GroupSet",
-    "IllPosedError",
-    "ModelSet",
-    "MosapSpec",
-    "PilotBatch",
-    "ProblemConfig",
-    "PsdBlock",
-    "SdpProblem",
-    "SdpSettings",
-    "SdpSolution",
-    "SyntheticSuite",
-    "UnknownCovarianceError",
-    "allocation_from_json",
-    "allocation_to_json",
-    "assemble_psi",
-    "baseline_to_json",
-    "blue_variance",
-    "build_budget_sdp",
-    "build_pareto_sdp",
-    "build_tolerance_sdp",
-    "check_budget_feasibility",
-    "combine_samples",
-    "dump_problem",
-    "efficiency_report",
-    "emit_outputs",
-    "enumerate_groups",
-    "estimate_decay_rate",
-    "extract_group_covariance",
-    "frontier_to_csv",
-    "integer_projection",
-    "load_problem",
-    "mfmc_allocation",
-    "mfmc_variance",
-    "mlmc_allocation",
-    "mlmc_levels",
-    "mlmc_variance",
-    "multi_output_baseline",
-    "normalized_error",
-    "null_space_basis",
-    "pareto_sweep",
-    "parse_problem",
-    "pseudo_inverse",
-    "realized_variance",
-    "reconstruct_highfi_covariance",
-    "report_to_json",
-    "restriction_indices",
-    "richardson_extrapolate",
-    "run_estimate",
-    "sample_covariance",
-    "save_problem",
-    "solve_mosap",
-    "solve_sdp",
-    "spd_repair",
-    "spec_from_config",
-    "systems_from_store",
-    "verify_schur_feasibility",
-]

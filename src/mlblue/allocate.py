@@ -25,22 +25,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .covariance import CovarianceStore
-from .estimator import BlueSystem, IllPosedError, assemble_psi, blue_variance
+from .estimator import BlueSystem, IllPosedError, blue_variance
 from .models import GroupSet
-from .sdp import PsdBlock, SdpProblem, SdpSettings, SdpSolution, solve_sdp
+from .sdp import PsdBlock, SdpProblem, SdpSettings, solve_sdp
 
 __all__ = [
     "MosapSpec",
     "Allocation",
     "systems_from_store",
-    "build_budget_sdp",
-    "build_tolerance_sdp",
-    "build_pareto_sdp",
     "solve_mosap",
     "integer_projection",
     "pareto_sweep",
@@ -52,10 +49,10 @@ _PRUNE_REL = 1e-9
 _PARETO_COST_CAP = 1e12
 
 
-def systems_from_store(groups: GroupSet, store: CovarianceStore, floor: float = 1e-10):
+def systems_from_store(groups: GroupSet, store: CovarianceStore):
     """One BlueSystem per output, honoring the store's known-entry masks."""
     return [
-        BlueSystem.from_covariance(groups, store, output=s, floor=floor)
+        BlueSystem.from_covariance(groups, store, output=s)
         for s in range(1, store.num_outputs + 1)
     ]
 
@@ -153,8 +150,7 @@ def _feasibility_check(spec: MosapSpec) -> None:
     if spec.mode != "budget":
         return
     for system in spec.systems:
-        mask = system.highfi_group_mask()
-        cheapest = np.min(spec.group_costs[mask])
+        cheapest = np.min(spec.group_costs[system.anchor_mask])
         if spec.budget < cheapest:
             raise ValueError(
                 f"budget {spec.budget} cannot buy any group containing model 1 "
@@ -174,7 +170,7 @@ def _magnitude_guess(spec: MosapSpec, costs_n: np.ndarray) -> float:
         return max(v1 / (eps * num_groups), 1e-6)
     # pareto: variance ~ v1 * c_anchor / cost, optimum balances t against tau*cost
     anchor = min(
-        float(np.min(costs_n[s.highfi_group_mask()])) for s in spec.systems
+        float(np.min(costs_n[s.anchor_mask])) for s in spec.systems
     )
     tau = max(spec.tau, 1.0 / (_PARETO_COST_CAP * np.min(costs_n)))
     return max(math.sqrt(v1 * anchor / tau) / (num_groups * mean_cost), 1e-6)
@@ -276,7 +272,7 @@ def _build(spec: MosapSpec, corner_values=None):
         rows.append(row)
         rhs.append(1.0)
     for system in spec.systems:
-        mask = system.highfi_group_mask()
+        mask = system.anchor_mask
         mask_scale = float(np.max(alloc_scale[mask]))
         row = np.zeros(dim)
         row[:num_groups][mask] = -alloc_scale[mask] / mask_scale
@@ -307,28 +303,6 @@ def _build(spec: MosapSpec, corner_values=None):
     )
     scaling = _Scaling(cost_scale, alloc_scale, block_scales, var_scale, has_t)
     return problem, scaling
-
-
-def build_budget_sdp(spec: MosapSpec) -> SdpProblem:
-    """Budget mode: minimize the worst-output variance under a cost cap."""
-    if spec.mode != "budget":
-        raise ValueError("spec mode must be 'budget'")
-    _feasibility_check(spec)
-    return _build(spec)[0]
-
-
-def build_tolerance_sdp(spec: MosapSpec) -> SdpProblem:
-    """Tolerance mode: minimize cost under per-output variance bounds."""
-    if spec.mode != "tolerance":
-        raise ValueError("spec mode must be 'tolerance'")
-    return _build(spec, corner_values=spec.tolerances)[0]
-
-
-def build_pareto_sdp(spec: MosapSpec) -> SdpProblem:
-    """Pareto mode: minimize variance + tau * cost (cost capped when tau=0)."""
-    if spec.mode != "pareto":
-        raise ValueError("spec mode must be 'pareto'")
-    return _build(spec)[0]
 
 
 def _sanitize(spec: MosapSpec, x: np.ndarray, scaling: _Scaling) -> np.ndarray:
@@ -383,8 +357,7 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
 def _integer_feasible(spec: MosapSpec, n: np.ndarray):
     """(feasible, variances) under integer-count semantics."""
     for system in spec.systems:
-        mask = system.highfi_group_mask()
-        if n[mask].sum() < 1.0 - 1e-9:
+        if n[system.anchor_mask].sum() < 1.0 - 1e-9:
             return False, None
     for coeffs, bound in spec.extra_linear:
         if coeffs @ n > bound * (1.0 + 1e-12) + 1e-12:

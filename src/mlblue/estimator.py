@@ -66,27 +66,29 @@ class BlueSystem:
     output: int
     terms: tuple[GroupTerm, ...]
     highfi_variance: float
+    # over the global group list: usable for this output and contain model 1
+    anchor_mask: np.ndarray
 
     @classmethod
     def from_covariance(
-        cls,
-        groups: GroupSet,
-        store: CovarianceStore,
-        output: int = 1,
-        floor: float = 1e-10,
+        cls, groups: GroupSet, store: CovarianceStore, output: int = 1
     ) -> "BlueSystem":
         allowed = groups.per_output_allowed[output - 1]
         terms = []
         for k, group in enumerate(groups.groups):
             if not allowed[k] or not store.group_known(group, output):
                 continue
-            cov = extract_group_covariance(store, group, output, floor=floor)
+            cov = extract_group_covariance(store, group, output)
             idx = tuple(i - 1 for i in group)
             chol = cho_factor(cov, lower=True)
             inv = cho_solve(chol, np.eye(len(idx)))
             inv = 0.5 * (inv + inv.T)
             terms.append(GroupTerm(k, idx, cov, chol, inv))
-        if not any(0 in t.model_indices for t in terms):
+        usable = np.zeros(groups.num_groups, dtype=bool)
+        usable[[t.group_index for t in terms]] = True
+        anchor_mask = groups.highfi_mask(output) & usable
+        anchor_mask.setflags(write=False)
+        if not np.any(anchor_mask):
             raise IllPosedError(
                 f"output {output} has no usable group containing model 1"
             )
@@ -98,6 +100,7 @@ class BlueSystem:
             output=output,
             terms=tuple(terms),
             highfi_variance=float(store.matrices[output - 1][0, 0]),
+            anchor_mask=anchor_mask,
         )
 
     def active_models(self) -> tuple[int, ...]:
@@ -109,14 +112,6 @@ class BlueSystem:
 
     def usable_group_indices(self) -> tuple[int, ...]:
         return tuple(t.group_index for t in self.terms)
-
-    def highfi_group_mask(self) -> np.ndarray:
-        """Boolean mask over the global group list: usable and contain model 1."""
-        mask = np.zeros(self.num_groups, dtype=bool)
-        for t in self.terms:
-            if 0 in t.model_indices:
-                mask[t.group_index] = True
-        return mask
 
 
 def _check_allocation(system: BlueSystem, n) -> np.ndarray:
@@ -148,7 +143,6 @@ class SpectralPseudoInverse:
 
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray
-    rtol: float
     cutoff: float
 
     @property
@@ -162,14 +156,6 @@ class SpectralPseudoInverse:
         u = self.eigenvectors[:, keep]
         out = (u / self.eigenvalues[keep]) @ u.T
         return 0.5 * (out + out.T)
-
-    def apply(self, vec) -> np.ndarray:
-        keep = self.eigenvalues > self.cutoff
-        u = self.eigenvectors[:, keep]
-        proj = u.T @ np.asarray(vec, dtype=float)
-        scale = self.eigenvalues[keep]
-        proj = proj / (scale if proj.ndim == 1 else scale[:, None])
-        return u @ proj
 
     def range_residual(self, vec) -> float:
         """Norm of the component of vec outside the matrix's column space."""
@@ -193,30 +179,32 @@ def pseudo_inverse(matrix, rtol: float = 1e-12) -> SpectralPseudoInverse:
     cutoff = rtol * max(eigvals[-1], 0.0)
     if eigvals[0] < -max(cutoff, rtol):
         raise ValueError("matrix is not positive semidefinite")
-    return SpectralPseudoInverse(eigvals, eigvecs, rtol, cutoff)
+    return SpectralPseudoInverse(eigvals, eigvecs, cutoff)
 
 
-def blue_variance(system: BlueSystem, n, rtol: float = 1e-12) -> float:
-    """Variance of the high-fidelity mean estimate at allocation n.
+def _information_pinv(system: BlueSystem, n) -> np.ndarray:
+    """Pseudo-inverse of the information matrix at allocation n.
 
     Raises IllPosedError when the first coordinate direction is not in the
     information matrix's column space, i.e. the estimator does not exist
     for this allocation (as opposed to merely having large variance).
     """
-    psi = assemble_psi(system, n)
-    pinv = pseudo_inverse(psi, rtol=rtol)
+    pinv = pseudo_inverse(assemble_psi(system, n))
     e1 = np.zeros(system.num_models)
     e1[0] = 1.0
     if pinv.range_residual(e1) > _WELLPOSED_TOL:
         raise IllPosedError(
             "estimator is ill-posed: no sampled group identifies model 1"
         )
-    return float(e1 @ pinv.as_matrix() @ e1)
+    return pinv.as_matrix()
 
 
-def realized_variance(
-    system: BlueSystem, n, true_store: CovarianceStore, rtol: float = 1e-12
-) -> float:
+def blue_variance(system: BlueSystem, n) -> float:
+    """Variance e1' Psi+ e1 of the high-fidelity mean estimate at allocation n."""
+    return float(_information_pinv(system, n)[0, 0])
+
+
+def realized_variance(system: BlueSystem, n, true_store: CovarianceStore) -> float:
     """True variance of the estimator whose weights come from ``system``.
 
     ``system`` may be built from estimated covariances; the samples actually
@@ -226,15 +214,7 @@ def realized_variance(
     system applies to group k.
     """
     n = _check_allocation(system, n)
-    psi = assemble_psi(system, n)
-    pinv = pseudo_inverse(psi, rtol=rtol)
-    e1 = np.zeros(system.num_models)
-    e1[0] = 1.0
-    if pinv.range_residual(e1) > _WELLPOSED_TOL:
-        raise IllPosedError(
-            "estimator is ill-posed: no sampled group identifies model 1"
-        )
-    weights_full = pinv.as_matrix() @ e1
+    weights_full = _information_pinv(system, n)[:, 0]
     total = 0.0
     truth = true_store.matrices[system.output - 1]
     for t in system.terms:
@@ -292,12 +272,4 @@ def combine_samples(system: BlueSystem, n, samples: dict) -> np.ndarray:
             )
         sums = block.sum(axis=0)
         rhs[list(t.model_indices)] += cho_solve(t.chol, sums)
-    psi = assemble_psi(system, counts.astype(float))
-    pinv = pseudo_inverse(psi)
-    e1 = np.zeros(system.num_models)
-    e1[0] = 1.0
-    if pinv.range_residual(e1) > _WELLPOSED_TOL:
-        raise IllPosedError(
-            "estimator is ill-posed: no sampled group identifies model 1"
-        )
-    return pinv.as_matrix() @ rhs
+    return _information_pinv(system, counts.astype(float)) @ rhs

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# seconds an evaluator may take to exit after its input closes before it is killed
+_EVALUATOR_EXIT_GRACE = 10.0
+
+
 class EvaluatorError(RuntimeError):
     """A model evaluation failed; the message names group and sample."""
 
@@ -110,7 +114,11 @@ class _CommandEvaluator:
     def close(self):
         if self.proc.stdin:
             self.proc.stdin.close()
-        self.proc.wait(timeout=10)
+        try:
+            self.proc.wait(timeout=_EVALUATOR_EXIT_GRACE)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
 
 
 def spec_from_config(config: ProblemConfig, mode: str | None = None,
@@ -203,11 +211,7 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
                     draws[k] = evaluator.evaluate(
                         group, z, f"group {k} (replication {r})")
             for s, system in enumerate(systems):
-                block = {
-                    k: draws[k][:, :, s]
-                    for k in sampled
-                    if k in system.usable_group_indices()
-                }
+                block = {k: draws[k][:, :, s] for k in sampled}
                 mu = combine_samples(system, counts.astype(float), block)
                 estimates[r, s] = mu[0]
     finally:

@@ -23,7 +23,6 @@ feasible by construction once the budget check passes.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,10 @@ __all__ = [
     "verify_schur_feasibility",
     "dump_problem",
 ]
+
+
+# fraction of the largest step to the cone boundary that an iterate takes
+_STEP_SCALE = 0.98
 
 
 def _sym(m):
@@ -133,8 +136,6 @@ class SdpSettings:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    step_scale: float = 0.98
-    verbose: bool = False
 
 
 @dataclass
@@ -246,11 +247,6 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         ) / norm_c
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
         score = max(pres, dres, relgap)
-        if cfg.verbose:
-            print(
-                f"  iter {it:3d}  gap {relgap:9.2e}  pres {pres:9.2e}  dres {dres:9.2e}",
-                file=sys.stderr,
-            )
         if best is None or score < best[0]:
             best = (score, x.copy(), it, {"primal": pres, "dual": dres, "gap": relgap})
 
@@ -425,8 +421,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             dz_lp = dz_lp - (z_lp / s_lp) * cs_lp
             dx = dx + cx
         a_z, a_s = boundary_steps(ds_blocks, dz_blocks, ds_lp, dz_lp)
-        a_z = min(1.0, cfg.step_scale * a_z)
-        a_s = min(1.0, cfg.step_scale * a_s)
+        a_z = min(1.0, _STEP_SCALE * a_z)
+        a_s = min(1.0, _STEP_SCALE * a_s)
 
         # fall back to shorter steps if roundoff pushed an iterate off the cone
         for shrink in range(25):

@@ -259,6 +259,9 @@ def test_system_skips_unknown_groups():
     usable = [gs.groups[k] for k in system.usable_group_indices()]
     assert (1, 3) not in usable
     assert (1, 2) in usable and (2, 3) in usable
+    expect = gs.highfi_mask(1).copy()
+    expect[gs.index_of((1, 3))] = False
+    assert np.array_equal(system.anchor_mask, expect)
 
 
 def test_realized_variance_with_misjudged_covariance():

@@ -323,6 +323,20 @@ def test_command_evaluator_bad_response(tmp_path):
         run_estimate(cfg, n, replications=1, seed=0)
 
 
+def test_command_evaluator_lingering_after_input_is_killed(tmp_path, monkeypatch):
+    monkeypatch.setattr("mlblue.runner._EVALUATOR_EXIT_GRACE", 0.2)
+    lingering = EVALUATOR + "import time\ntime.sleep(60)\n"
+    (tmp_path / "lingering").mkdir()
+    (tmp_path / "prompt").mkdir()
+    cfg_slow = command_config(tmp_path / "lingering", script=lingering)
+    cfg_fast = command_config(tmp_path / "prompt")
+    n = np.zeros(cfg_slow.groups.num_groups)
+    n[cfg_slow.groups.index_of((1, 2))] = 3
+    a = run_estimate(cfg_slow, n, replications=2, seed=5)
+    b = run_estimate(cfg_fast, n, replications=2, seed=5)
+    assert np.array_equal(a.estimates, b.estimates)
+
+
 def test_missing_command_rejected():
     cfg = parse_problem({
         "models": {"costs": [1.0]},

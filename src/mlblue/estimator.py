@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .covariance import CovarianceStore, extract_group_covariance
 from .models import GroupSet
@@ -48,8 +47,7 @@ class GroupTerm:
     group_index: int  # position in the global group list
     model_indices: tuple[int, ...]  # 0-based rows the group touches
     covariance: np.ndarray  # SPD group covariance, restriction order
-    chol: tuple  # cho_factor of covariance
-    inverse: np.ndarray  # covariance inverse via the factorization
+    inverse: np.ndarray  # covariance inverse via its Cholesky factor
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,15 @@ class BlueSystem:
                 continue
             cov = extract_group_covariance(store, group, output)
             idx = tuple(i - 1 for i in group)
-            chol = cho_factor(cov, lower=True)
-            inv = cho_solve(chol, np.eye(len(idx)))
+            if not np.isfinite(cov).all():
+                raise ValueError(
+                    f"covariance of group {group} for output {output} is not finite"
+                )
+            # raises LinAlgError when cov is not positive definite
+            linv = np.linalg.inv(np.linalg.cholesky(cov))
+            inv = linv.T @ linv
             inv = 0.5 * (inv + inv.T)
-            terms.append(GroupTerm(k, idx, cov, chol, inv))
+            terms.append(GroupTerm(k, idx, cov, inv))
         usable = np.zeros(groups.num_groups, dtype=bool)
         usable[[t.group_index for t in terms]] = True
         anchor_mask = groups.highfi_mask(output) & usable
@@ -222,7 +225,7 @@ def realized_variance(system: BlueSystem, n, true_store: CovarianceStore) -> flo
         if w == 0.0:
             continue
         idx = list(t.model_indices)
-        w_k = cho_solve(t.chol, weights_full[idx])
+        w_k = t.inverse @ weights_full[idx]
         c_true = truth[np.ix_(idx, idx)]
         total += w * float(w_k @ c_true @ w_k)
     return total
@@ -271,5 +274,7 @@ def combine_samples(system: BlueSystem, n, samples: dict) -> np.ndarray:
                 f"expected {(c, len(t.model_indices))}"
             )
         sums = block.sum(axis=0)
-        rhs[list(t.model_indices)] += cho_solve(t.chol, sums)
+        if not np.isfinite(sums).all():
+            raise ValueError(f"group {t.group_index} samples are not finite")
+        rhs[list(t.model_indices)] += t.inverse @ sums
     return _information_pinv(system, counts.astype(float)) @ rhs

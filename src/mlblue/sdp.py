@@ -23,10 +23,10 @@ feasible by construction once the budget check passes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigvalsh, svd
 
 __all__ = [
     "PsdBlock",
@@ -45,6 +45,36 @@ _STEP_SCALE = 0.98
 
 def _sym(m):
     return 0.5 * (m + m.T)
+
+
+def _finite(a):
+    """Return a, or raise if it holds a NaN or an infinity.
+
+    numpy's LAPACK calls run on such input and return NaNs; the solver
+    stops instead, so a broken iterate is never taken for a result.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _tril_inv(low):
+    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+
+    numpy has no triangular solve, and np.linalg.inv runs a general LU
+    solve on the factor; the recursion needs about a quarter of its flops
+    and spends them in matrix products.
+    """
+    n = low.shape[0]
+    if n <= 48:  # the plain inverse was as fast up to here (orders 130-300)
+        return np.linalg.inv(low)
+    h = n // 2
+    top, bottom = _tril_inv(low[:h, :h]), _tril_inv(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = top
+    out[h:, h:] = bottom
+    out[h:, :h] = -bottom @ (low[h:, :h] @ top)
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,7 +180,7 @@ class SdpSolution:
 def _max_step_scaled(lam, delta):
     """Largest a with diag(lam) + a*delta >= 0, both in the scaled space."""
     scale = np.sqrt(np.outer(lam, lam))
-    w = eigvalsh(delta / scale)
+    w = np.linalg.eigvalsh(_finite(delta / scale))
     lo = w[0]
     return np.inf if lo >= -1e-300 else 1.0 / (-lo)
 
@@ -282,9 +312,9 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         R_list, Rinv_list, lam_list, Winv_list = [], [], [], []
         try:
             for sb, zb in zip(S, Z):
-                ls = cholesky(sb, lower=True)
-                lz = cholesky(zb, lower=True)
-                u, lam, vt = svd(lz.T @ ls)
+                ls = np.linalg.cholesky(_finite(sb))
+                lz = np.linalg.cholesky(_finite(zb))
+                u, lam, vt = np.linalg.svd(_finite(lz.T @ ls))
                 rt = ls @ vt.T / np.sqrt(lam)
                 rinv = (u / np.sqrt(lam)).T @ lz.T
                 winv = rinv.T @ rinv
@@ -305,19 +335,25 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
                     blk.coefficients, t, axes=([1, 2], [1, 2])
                 )
             winv_rd.append(winv @ rd @ winv)
-        m_factor = None
+        # invert the Cholesky factor of M (plus ridge) once, so that each
+        # solve is two matrix-vector products
+        _finite(M)
+        m_linv = None
         ridge = 0.0
         for attempt in range(8):
             try:
-                m_factor = cho_factor(
-                    M + ridge * np.eye(d) if ridge else M, lower=True
+                m_linv = _tril_inv(
+                    np.linalg.cholesky(M + ridge * np.eye(d) if ridge else M)
                 )
                 break
             except np.linalg.LinAlgError:
                 base = max(np.trace(M) / d, 1e-30)
                 ridge = base * (1e-14 if ridge == 0.0 else 0.0) + ridge * 100.0
-        if m_factor is None:
+        if m_linv is None:
             break
+
+        def m_solve(r):
+            return m_linv.T @ (m_linv @ _finite(r))
 
         def solve_direction(ecc_blocks, ecc_lp):
             """Newton step from scaled-space complementarity targets."""
@@ -328,12 +364,12 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
                         blk.coefficients, ecc - wrd, axes=([1, 2], [0, 1])
                     )
             rhs += lp_rows.T @ ((z_lp / s_lp) * rd_lp - ecc_lp)
-            dx = cho_solve(m_factor, rhs)
+            dx = m_solve(rhs)
             # two rounds of iterative refinement against the unridged M;
             # without this the direction error re-injects primal residual
             # near convergence and the iteration stalls just above feas_tol
             for _ in range(2):
-                dx = dx + cho_solve(m_factor, rhs - M @ dx)
+                dx = dx + m_solve(rhs - M @ dx)
             ds_blocks, dz_blocks = [], []
             for blk, ecc, winv, rd in zip(
                 cone.blocks, ecc_blocks, Winv_list, rd_blocks
@@ -405,8 +441,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             defect -= lp_rows.T @ dz_lp
             if np.linalg.norm(defect) <= 1e-15 * norm_b:
                 break
-            cx = cho_solve(m_factor, defect)
-            cx += cho_solve(m_factor, defect - M @ cx)
+            cx = m_solve(defect)
+            cx += m_solve(defect - M @ cx)
             for i, (blk, winv) in enumerate(zip(cone.blocks, Winv_list)):
                 if blk.var_indices.size:
                     csb = _sym(
@@ -435,7 +471,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             if ok:
                 try:
                     for m in s_try + z_try:
-                        cholesky(m, lower=True)
+                        np.linalg.cholesky(_finite(m))
                 except np.linalg.LinAlgError:
                     ok = False
             if ok:
@@ -500,7 +536,7 @@ def dump_problem(problem: SdpProblem, path) -> None:
             f.write(f"{blk} {row} {col} {var} {value:.17g}\n")
 
     close = False
-    if isinstance(path, (str, bytes)):
+    if isinstance(path, (str, bytes, os.PathLike)):
         f = open(path, "w")
         close = True
     else:

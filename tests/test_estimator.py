@@ -229,6 +229,20 @@ def test_combine_samples_validates_shapes():
         combine_samples(sys2, n + 0.5, {k12: np.zeros((2, 2))})
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_covariance_and_samples_raise():
+    gs = enumerate_groups(all_output_modelset([2.0, 1.0]), kappa=2)
+    cov = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        BlueSystem.from_covariance(gs, CovarianceStore(cov[None]))
+    _, sys2 = system_for([2.0, 1.0], np.eye(2))
+    n = np.zeros(gs.num_groups)
+    k12 = gs.index_of((1, 2))
+    n[k12] = 2.0
+    with pytest.raises(ValueError, match=f"group {k12} samples are not finite"):
+        combine_samples(sys2, n, {k12: np.array([[1.0, 2.0], [np.inf, 0.0]])})
+
+
 def test_ill_posed_allocation_raises():
     gs, sys2 = system_for([2.0, 1.0], np.eye(2))
     n = np.zeros(gs.num_groups)

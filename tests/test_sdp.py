@@ -11,6 +11,7 @@ from mlblue.sdp import (
     PsdBlock,
     SdpProblem,
     SdpSettings,
+    _tril_inv,
     dump_problem,
     solve_sdp,
     verify_schur_feasibility,
@@ -210,6 +211,47 @@ def test_dump_problem_triplet_format():
     assert got == {("0", "0"): 1.0, ("0", "1"): 1.0, ("1", "0"): 1.0}
     # t's coefficient on the (1,1) entry
     assert ["1", "1", "1", "1", "1"] in rows
+
+
+def test_triangular_inverse_matches_general_inverse():
+    rng = np.random.default_rng(22)
+    for n in (1, 7, 48, 49, 131):
+        a = rng.standard_normal((n, n + 3))
+        low = np.linalg.cholesky(a @ a.T)
+        inv = _tril_inv(low)
+        assert np.allclose(inv, np.linalg.inv(low), rtol=0, atol=1e-10)
+        assert np.allclose(inv @ low, np.eye(n), rtol=0, atol=1e-10)
+
+
+def test_dump_problem_to_path(tmp_path):
+    prob = corner_problem()
+    buf = io.StringIO()
+    dump_problem(prob, buf)
+    dump_problem(prob, tmp_path / "p.txt")
+    dump_problem(prob, str(tmp_path / "q.txt"))
+    assert (tmp_path / "p.txt").read_text() == buf.getvalue()
+    assert (tmp_path / "q.txt").read_text() == buf.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_data_raises():
+    # a NaN or infinity must stop the solver, not run on into NaN iterates
+    f0 = np.array([[1.0, 1.0], [1.0, 0.0]])
+    coeff = np.zeros((1, 2, 2))
+    coeff[0, 1, 1] = 1.0
+    bad_coeff = coeff.copy()
+    bad_coeff[0, 1, 1] = np.nan
+    bad_const = f0.copy()
+    bad_const[0, 0] = np.inf
+    problems = [
+        SdpProblem(np.array([np.nan]), (PsdBlock(f0, [0], coeff),)),
+        SdpProblem(np.array([1.0]), (PsdBlock(f0, [0], bad_coeff),)),
+        SdpProblem(np.array([1.0]), (PsdBlock(bad_const, [0], coeff),)),
+        SdpProblem(np.array([1.0]), ineq_matrix=[[np.nan]], ineq_rhs=[1.0]),
+    ]
+    for prob in problems:
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_sdp(prob)
 
 
 def test_symmetry_validation_rejects_bad_blocks():

@@ -135,17 +135,6 @@ class Allocation:
         return float(np.max(self.per_output_variance))
 
 
-@dataclass(frozen=True)
-class _Scaling:
-    """Exact reparameterization applied before handing the SDP over."""
-
-    cost_scale: float  # costs divided by this
-    alloc_scale: np.ndarray  # per group, n = alloc_scale * x
-    block_scales: np.ndarray  # per output
-    var_scale: float  # t = x_t / var_scale
-    has_t: bool
-
-
 def _feasibility_check(spec: MosapSpec) -> None:
     if spec.mode != "budget":
         return
@@ -176,17 +165,18 @@ def _magnitude_guess(spec: MosapSpec, costs_n: np.ndarray) -> float:
     return max(math.sqrt(v1 * anchor / tau) / (num_groups * mean_cost), 1e-6)
 
 
-def _build(spec: MosapSpec, corner_values=None):
+def _build(spec: MosapSpec):
     """Assemble the scaled SdpProblem for any mode.
 
-    corner_values: per-output constants put in the block corner (tolerance
-    mode); None means the corner holds the shared variance variable t.
+    Returns the problem and the per-group scale with n = alloc_scale * x.
+    In tolerance mode each block corner holds the output's variance bound;
+    otherwise it holds the shared variance variable t.
     """
     groups = spec.groups
     num_groups = groups.num_groups
     cost_scale = float(np.max(groups.group_costs))
     costs_n = groups.group_costs / cost_scale
-    has_t = corner_values is None
+    has_t = spec.mode != "tolerance"
     dim = num_groups + 1 if has_t else num_groups
 
     guess = _magnitude_guess(spec, costs_n)
@@ -200,40 +190,22 @@ def _build(spec: MosapSpec, corner_values=None):
         implied = np.maximum(bound / coeffs_row[pos], 1e-12 * guess)
         alloc_scale[pos] = np.minimum(alloc_scale[pos], implied)
 
-    # solver-side information blocks: eigenvalues of each group covariance
-    # below 1e-6 of the block's largest are lifted before inverting. A
-    # store with a clipped (|rho| = 1) pair otherwise claims ~1e10 units of
-    # information per sample, and the Newton systems lose those directions
-    # in double precision. The handle only steers the search; reported
-    # variances are always recomputed from the unmodified blocks.
-    solver_inverses = []
-    for system in spec.systems:
-        inverses = {}
-        for term in system.terms:
-            w, v = np.linalg.eigh(term.covariance)
-            lifted = np.maximum(w, 1e-6 * w[-1])
-            inv = (v / lifted) @ v.T
-            inverses[term.group_index] = 0.5 * (inv + inv.T)
-        solver_inverses.append(inverses)
-
     # per-output congruence scalar: the size of the information matrix at a
     # uniform allocation of the guessed magnitude
     block_scales = []
     uniform = alloc_scale / num_groups
-    for system, inverses in zip(spec.systems, solver_inverses):
+    for system in spec.systems:
         psi = np.zeros((groups.num_models, groups.num_models))
         for term in system.terms:
             idx = np.ix_(term.model_indices, term.model_indices)
-            psi[idx] += uniform[term.group_index] * inverses[term.group_index]
+            psi[idx] += uniform[term.group_index] * term.lifted_inverse
         scale = float(np.linalg.norm(psi, 2))
         block_scales.append(max(scale, 1e-300))
     block_scales = np.asarray(block_scales)
     var_scale = float(np.max(block_scales))
 
     blocks = []
-    for system, inverses, bscale, s in zip(
-        spec.systems, solver_inverses, block_scales, range(len(spec.systems))
-    ):
+    for s, (system, bscale) in enumerate(zip(spec.systems, block_scales)):
         active = system.active_models()
         pos = {model: i for i, model in enumerate(active)}
         p = len(active) + 1
@@ -244,7 +216,7 @@ def _build(spec: MosapSpec, corner_values=None):
         for term in system.terms:
             mat = np.zeros((p, p))
             loc = [pos[i] for i in term.model_indices]
-            mat[np.ix_(loc, loc)] = inverses[term.group_index] * (
+            mat[np.ix_(loc, loc)] = term.lifted_inverse * (
                 alloc_scale[term.group_index] / bscale
             )
             var_indices.append(term.group_index)
@@ -255,7 +227,7 @@ def _build(spec: MosapSpec, corner_values=None):
             var_indices.append(num_groups)
             coeffs.append(mat)
         else:
-            constant[p - 1, p - 1] = corner_values[s] * bscale
+            constant[p - 1, p - 1] = spec.tolerances[s] * bscale
         blocks.append(PsdBlock(constant, np.array(var_indices), np.array(coeffs)))
 
     rows = []
@@ -301,12 +273,11 @@ def _build(spec: MosapSpec, corner_values=None):
         ineq_matrix=np.array(rows).reshape(len(rows), dim),
         ineq_rhs=np.array(rhs),
     )
-    scaling = _Scaling(cost_scale, alloc_scale, block_scales, var_scale, has_t)
-    return problem, scaling
+    return problem, alloc_scale
 
 
-def _sanitize(spec: MosapSpec, x: np.ndarray, scaling: _Scaling) -> np.ndarray:
-    n = scaling.alloc_scale * np.maximum(x[: spec.groups.num_groups], 0.0)
+def _sanitize(spec: MosapSpec, x: np.ndarray, alloc_scale: np.ndarray) -> np.ndarray:
+    n = alloc_scale * np.maximum(x[: spec.groups.num_groups], 0.0)
     top = n.max(initial=0.0)
     n[n < _PRUNE_REL * top] = 0.0
     return n
@@ -333,12 +304,11 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
     variance variable is only used as the optimization handle.
     """
     _feasibility_check(spec)
-    corners = spec.tolerances if spec.mode == "tolerance" else None
-    problem, scaling = _build(spec, corner_values=corners)
+    problem, alloc_scale = _build(spec)
     sol = solve_sdp(problem, settings)
     if sol.status == "infeasible":
         raise RuntimeError("allocation SDP is infeasible")
-    n = _sanitize(spec, sol.x, scaling)
+    n = _sanitize(spec, sol.x, alloc_scale)
     variances = _variances(spec, n)
     return Allocation(
         mode=spec.mode,

@@ -48,6 +48,12 @@ class GroupTerm:
     model_indices: tuple[int, ...]  # 0-based rows the group touches
     covariance: np.ndarray  # SPD group covariance, restriction order
     inverse: np.ndarray  # covariance inverse via its Cholesky factor
+    # the allocation SDP's inverse: eigenvalues below 1e-6 of the largest
+    # are lifted before inverting. A store with a clipped (|rho| = 1) pair
+    # otherwise claims ~1e10 units of information per sample, and the
+    # Newton systems lose those directions in double precision. It only
+    # steers the search; variances are always computed from ``inverse``.
+    lifted_inverse: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,9 @@ class BlueSystem:
             linv = np.linalg.inv(np.linalg.cholesky(cov))
             inv = linv.T @ linv
             inv = 0.5 * (inv + inv.T)
-            terms.append(GroupTerm(k, idx, cov, inv))
+            w, v = np.linalg.eigh(cov)
+            lifted = (v / np.maximum(w, 1e-6 * w[-1])) @ v.T
+            terms.append(GroupTerm(k, idx, cov, inv, 0.5 * (lifted + lifted.T)))
         usable = np.zeros(groups.num_groups, dtype=bool)
         usable[[t.group_index for t in terms]] = True
         anchor_mask = groups.highfi_mask(output) & usable

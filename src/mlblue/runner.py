@@ -75,7 +75,7 @@ class _CommandEvaluator:
     """Talks to an external model over stdin/stdout, one JSON line each way.
 
     Request: {"model": <1-based id>, "input": [floats]}; response:
-    {"values": [one float per output]}. A single process serves all
+    {"values": [one finite float per output]}. A single process serves all
     requests for a run.
     """
 
@@ -105,6 +105,8 @@ class _CommandEvaluator:
                 try:
                     values = json.loads(line)["values"]
                     out[j, a, :] = np.asarray(values, dtype=float)
+                    if not np.isfinite(out[j, a]).all():
+                        raise ValueError("values must be finite")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise EvaluatorError(
                         f"bad evaluator response at {where}, sample {j}: {line!r}"

@@ -116,14 +116,20 @@ class PsdBlock:
     def order(self) -> int:
         return self.constant.shape[0]
 
-    def value(self, x) -> np.ndarray:
-        """Evaluate the affine map at x."""
-        out = self.constant.copy()
-        if self.var_indices.size:
-            out += np.tensordot(
-                np.asarray(x)[self.var_indices], self.coefficients, axes=(0, 0)
-            )
-        return out
+    def apply(self, x) -> np.ndarray:
+        """Linear part A(x) = sum_j x[var_indices[j]] * coefficients[j]."""
+        return np.tensordot(
+            np.asarray(x)[self.var_indices], self.coefficients, axes=(0, 0)
+        )
+
+    def adjoint(self, z) -> np.ndarray:
+        """A*(Z) = (<coefficients[j], Z>)_j, over the block's own variables."""
+        return np.tensordot(self.coefficients, z, axes=([1, 2], [0, 1]))
+
+    def schur(self, winv) -> np.ndarray:
+        """Schur term tr(F_i Winv F_j Winv) for each pair of block variables."""
+        t = np.matmul(winv, np.matmul(self.coefficients, winv))
+        return np.tensordot(self.coefficients, t, axes=([1, 2], [1, 2]))
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,23 @@ def _max_step_vec(v, dv):
     return float(np.min(-v[neg] / dv[neg]))
 
 
-class _Cone:
-    """Iteration workspace: PSD blocks plus one nonnegative-orthant block."""
+def _inner(mats_a, vec_a, mats_b, vec_b):
+    """Inner product of two cone points: PSD blocks plus the LP part."""
+    return sum(
+        float(np.tensordot(a, b)) for a, b in zip(mats_a, mats_b)
+    ) + float(vec_a @ vec_b)
 
-    def __init__(self, problem: SdpProblem):
-        d = problem.num_vars
-        self.blocks = problem.blocks
-        # fold x >= 0 into the LP rows: slack vector is (g - Gx, x)
-        self.lp_rows = np.vstack([problem.ineq_matrix, -np.eye(d)])
-        self.lp_rhs = np.concatenate([problem.ineq_rhs, np.zeros(d)])
-        self.dim = sum(b.order for b in self.blocks) + self.lp_rhs.size
+
+def _norm(mats, vec):
+    """Frobenius norm of a cone point: PSD blocks plus the LP part."""
+    return np.sqrt(
+        sum(np.linalg.norm(m) ** 2 for m in mats) + np.linalg.norm(vec) ** 2
+    )
+
+
+def _nt_scaled(rt, rinv, dsb, dzb):
+    """A block direction pair in the NT-scaled space: R^-1 dS R^-T, R' dZ R."""
+    return rinv @ dsb @ rinv.T, rt.T @ dzb @ rt
 
 
 def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSolution:
@@ -213,15 +226,27 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     'max_iter' otherwise.
     """
     cfg = settings or SdpSettings()
-    cone = _Cone(problem)
+    blocks = problem.blocks
     d = problem.num_vars
     b_vec = -problem.objective  # internal form maximizes b'x
-    lp_rows, lp_rhs = cone.lp_rows, cone.lp_rhs
+    # fold x >= 0 into the LP rows: slack vector is (g - Gx, x)
+    lp_rows = np.vstack([problem.ineq_matrix, -np.eye(d)])
+    lp_rhs = np.concatenate([problem.ineq_rhs, np.zeros(d)])
+    cone_dim = sum(b.order for b in blocks) + lp_rhs.size
+    constants = [b.constant for b in blocks]
+
+    def scatter_adjoint(base, mats, lp_vec):
+        """base + A*(mats) - G' lp_vec, summed over every block."""
+        out = base.copy()
+        for blk, m in zip(blocks, mats):
+            out[blk.var_indices] += blk.adjoint(m)
+        out -= lp_rows.T @ lp_vec
+        return out
 
     # identity-scaled starting point, sized from the data norms
     x = np.zeros(d)
     S, Z = [], []
-    for blk in cone.blocks:
+    for blk in blocks:
         p = blk.order
         n_const = np.linalg.norm(blk.constant)
         n_coeff = max(
@@ -240,41 +265,22 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     )
 
     norm_b = 1.0 + np.linalg.norm(b_vec)
-    norm_c = 1.0 + np.sqrt(
-        sum(np.linalg.norm(b.constant) ** 2 for b in cone.blocks)
-        + np.linalg.norm(lp_rhs) ** 2
-    )
-    z_init_norm = np.sqrt(
-        sum(np.linalg.norm(m) ** 2 for m in Z) + np.linalg.norm(z_lp) ** 2
-    )
+    norm_c = 1.0 + _norm(constants, lp_rhs)
+    z_init_norm = _norm(Z, z_lp)
 
     best = None
     it = 0
     for it in range(cfg.max_iter + 1):
         # residuals of the current iterate
-        rp = b_vec.copy()
-        for blk, zb in zip(cone.blocks, Z):
-            if blk.var_indices.size:
-                rp[blk.var_indices] += np.tensordot(
-                    blk.coefficients, zb, axes=([1, 2], [0, 1])
-                )
-        rp -= lp_rows.T @ z_lp
-        rd_blocks = [blk.value(x) - sb for blk, sb in zip(cone.blocks, S)]
+        rp = scatter_adjoint(b_vec, Z, z_lp)
+        rd_blocks = [c + blk.apply(x) - sb for c, blk, sb in zip(constants, blocks, S)]
         rd_lp = lp_rhs - s_lp - lp_rows @ x
 
-        gap = sum(float(np.tensordot(zb, sb)) for zb, sb in zip(Z, S)) + float(
-            z_lp @ s_lp
-        )
-        pobj = sum(
-            float(np.tensordot(blk.constant, zb))
-            for blk, zb in zip(cone.blocks, Z)
-        ) + float(lp_rhs @ z_lp)
+        gap = _inner(Z, z_lp, S, s_lp)
+        pobj = _inner(constants, lp_rhs, Z, z_lp)
         dobj = float(b_vec @ x)
         pres = np.linalg.norm(rp) / norm_b
-        dres = np.sqrt(
-            sum(np.linalg.norm(r) ** 2 for r in rd_blocks)
-            + np.linalg.norm(rd_lp) ** 2
-        ) / norm_c
+        dres = _norm(rd_blocks, rd_lp) / norm_c
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
         score = max(pres, dres, relgap)
         if best is None or score < best[0]:
@@ -290,9 +296,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             )
 
         # approximate Farkas certificate: Z >= 0 large with A(Z) ~ 0, <C,Z> < 0
-        z_norm = np.sqrt(
-            sum(np.linalg.norm(m) ** 2 for m in Z) + np.linalg.norm(z_lp) ** 2
-        )
+        z_norm = _norm(Z, z_lp)
         if z_norm > 1e8 * (1.0 + z_init_norm):
             viol = np.linalg.norm(rp - b_vec) / z_norm
             if viol <= 1e-6 and pobj / z_norm <= -1e-9:
@@ -308,8 +312,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             break
 
         # Nesterov-Todd scaling per block: S = R L R', Z = R^-T L R^-1
-        mu = gap / cone.dim
-        R_list, Rinv_list, lam_list, Winv_list = [], [], [], []
+        mu = gap / cone_dim
+        nt_list, Winv_list = [], []  # nt: (R, R^-1, L) per block
         try:
             for sb, zb in zip(S, Z):
                 ls = np.linalg.cholesky(_finite(sb))
@@ -317,24 +321,17 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
                 u, lam, vt = np.linalg.svd(_finite(lz.T @ ls))
                 rt = ls @ vt.T / np.sqrt(lam)
                 rinv = (u / np.sqrt(lam)).T @ lz.T
-                winv = rinv.T @ rinv
-                R_list.append(rt)
-                Rinv_list.append(rinv)
-                lam_list.append(lam)
-                Winv_list.append(_sym(winv))
+                nt_list.append((rt, rinv, lam))
+                Winv_list.append(_sym(rinv.T @ rinv))
         except np.linalg.LinAlgError:
             break  # cone point lost definiteness beyond repair; report best
 
         # Schur complement M_ij = sum_blocks tr(F_i Winv F_j Winv) + LP part
         M = (lp_rows * (z_lp / s_lp)[:, None]).T @ lp_rows
-        winv_rd = []  # per block: Winv Rd Winv, reused in both rhs passes
-        for blk, winv, rd in zip(cone.blocks, Winv_list, rd_blocks):
-            if blk.var_indices.size:
-                t = np.matmul(winv, np.matmul(blk.coefficients, winv))
-                M[np.ix_(blk.var_indices, blk.var_indices)] += np.tensordot(
-                    blk.coefficients, t, axes=([1, 2], [1, 2])
-                )
-            winv_rd.append(winv @ rd @ winv)
+        for blk, winv in zip(blocks, Winv_list):
+            M[np.ix_(blk.var_indices, blk.var_indices)] += blk.schur(winv)
+        # per block: Winv Rd Winv, reused in both rhs passes
+        winv_rd = [winv @ rd @ winv for winv, rd in zip(Winv_list, rd_blocks)]
         # invert the Cholesky factor of M (plus ridge) once, so that each
         # solve is two matrix-vector products
         _finite(M)
@@ -357,13 +354,11 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
 
         def solve_direction(ecc_blocks, ecc_lp):
             """Newton step from scaled-space complementarity targets."""
-            rhs = rp.copy()
-            for blk, ecc, wrd in zip(cone.blocks, ecc_blocks, winv_rd):
-                if blk.var_indices.size:
-                    rhs[blk.var_indices] += np.tensordot(
-                        blk.coefficients, ecc - wrd, axes=([1, 2], [0, 1])
-                    )
-            rhs += lp_rows.T @ ((z_lp / s_lp) * rd_lp - ecc_lp)
+            rhs = scatter_adjoint(
+                rp,
+                [ecc - wrd for ecc, wrd in zip(ecc_blocks, winv_rd)],
+                ecc_lp - (z_lp / s_lp) * rd_lp,
+            )
             dx = m_solve(rhs)
             # two rounds of iterative refinement against the unridged M;
             # without this the direction error re-injects primal residual
@@ -371,17 +366,10 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             for _ in range(2):
                 dx = dx + m_solve(rhs - M @ dx)
             ds_blocks, dz_blocks = [], []
-            for blk, ecc, winv, rd in zip(
-                cone.blocks, ecc_blocks, Winv_list, rd_blocks
-            ):
-                dsb = rd.copy()
-                if blk.var_indices.size:
-                    dsb += np.tensordot(
-                        dx[blk.var_indices], blk.coefficients, axes=(0, 0)
-                    )
-                dzb = ecc - winv @ dsb @ winv
+            for blk, ecc, winv, rd in zip(blocks, ecc_blocks, Winv_list, rd_blocks):
+                dsb = rd + blk.apply(dx)
                 ds_blocks.append(_sym(dsb))
-                dz_blocks.append(_sym(dzb))
+                dz_blocks.append(_sym(ecc - winv @ dsb @ winv))
             ds_lp = rd_lp - lp_rows @ dx
             dz_lp = ecc_lp - (z_lp / s_lp) * ds_lp
             return dx, ds_blocks, dz_blocks, ds_lp, dz_lp
@@ -389,69 +377,50 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         def boundary_steps(ds_blocks, dz_blocks, ds_lp, dz_lp):
             a_s = _max_step_vec(s_lp, ds_lp)
             a_z = _max_step_vec(z_lp, dz_lp)
-            for rt, rinv, lam, dsb, dzb in zip(
-                R_list, Rinv_list, lam_list, ds_blocks, dz_blocks
-            ):
-                ds_t = rinv @ dsb @ rinv.T
-                dz_t = rt.T @ dzb @ rt
+            for (rt, rinv, lam), dsb, dzb in zip(nt_list, ds_blocks, dz_blocks):
+                ds_t, dz_t = _nt_scaled(rt, rinv, dsb, dzb)
                 a_s = min(a_s, _max_step_scaled(lam, _sym(ds_t)))
                 a_z = min(a_z, _max_step_scaled(lam, _sym(dz_t)))
             return a_z, a_s
 
         # predictor: pure Newton step toward complementarity zero
-        ecc_aff = [-zb for zb in Z]
-        aff = solve_direction(ecc_aff, -z_lp)
-        dxa, dsa, dza, dsa_lp, dza_lp = aff
+        _, dsa, dza, dsa_lp, dza_lp = solve_direction([-zb for zb in Z], -z_lp)
         a_z_aff, a_s_aff = boundary_steps(dsa, dza, dsa_lp, dza_lp)
         a_z_aff, a_s_aff = min(1.0, a_z_aff), min(1.0, a_s_aff)
-        gap_aff = sum(
-            float(np.tensordot(zb + a_z_aff * dzb, sb + a_s_aff * dsb))
-            for zb, dzb, sb, dsb in zip(Z, dza, S, dsa)
-        ) + float((z_lp + a_z_aff * dza_lp) @ (s_lp + a_s_aff * dsa_lp))
+        gap_aff = _inner(
+            [zb + a_z_aff * dzb for zb, dzb in zip(Z, dza)],
+            z_lp + a_z_aff * dza_lp,
+            [sb + a_s_aff * dsb for sb, dsb in zip(S, dsa)],
+            s_lp + a_s_aff * dsa_lp,
+        )
         sigma = min(1.0, max(0.0, (gap_aff / gap) ** 3))
 
         # corrector: recenter and subtract the predictor's second-order term
-        ecc_blocks, ecc_lp_parts = [], None
-        for rt, rinv, lam, dsb, dzb in zip(
-            R_list, Rinv_list, lam_list, dsa, dza
-        ):
-            ds_t = rinv @ dsb @ rinv.T
-            dz_t = rt.T @ dzb @ rt
+        ecc_blocks = []
+        for (rt, rinv, lam), dsb, dzb in zip(nt_list, dsa, dza):
+            ds_t, dz_t = _nt_scaled(rt, rinv, dsb, dzb)
             cross = _sym(dz_t @ ds_t)
             denom = lam[:, None] + lam[None, :]
             e = -2.0 * cross / denom
             e[np.diag_indices_from(e)] += (sigma * mu - lam**2) / lam
             ecc_blocks.append(rinv.T @ e @ rinv)
-        ecc_lp_parts = (sigma * mu - s_lp * z_lp - dza_lp * dsa_lp) / s_lp
-        dx, ds_blocks, dz_blocks, ds_lp, dz_lp = solve_direction(
-            ecc_blocks, ecc_lp_parts
-        )
+        ecc_lp = (sigma * mu - s_lp * z_lp - dza_lp * dsa_lp) / s_lp
+        dx, ds_blocks, dz_blocks, ds_lp, dz_lp = solve_direction(ecc_blocks, ecc_lp)
         # forming dZ from dS loses ~eps*||Winv||^2*||dS|| per entry and the
         # loss lands in the primal equation as a residual floor; measure the
         # miss and absorb it with an extra back-solve. The patch pair
         # cS = A(cx), cZ = -Winv cS Winv cancels in the scaled
         # complementarity equation, so only the primal equation moves.
         for _ in range(2):
-            defect = rp.copy()
-            for blk, dzb in zip(cone.blocks, dz_blocks):
-                if blk.var_indices.size:
-                    defect[blk.var_indices] += np.tensordot(
-                        blk.coefficients, dzb, axes=([1, 2], [0, 1])
-                    )
-            defect -= lp_rows.T @ dz_lp
+            defect = scatter_adjoint(rp, dz_blocks, dz_lp)
             if np.linalg.norm(defect) <= 1e-15 * norm_b:
                 break
             cx = m_solve(defect)
             cx += m_solve(defect - M @ cx)
-            for i, (blk, winv) in enumerate(zip(cone.blocks, Winv_list)):
-                if blk.var_indices.size:
-                    csb = _sym(
-                        np.tensordot(
-                            cx[blk.var_indices], blk.coefficients, axes=(0, 0)
-                        )
-                    )
-                    ds_blocks[i] = ds_blocks[i] + csb
-                    dz_blocks[i] = dz_blocks[i] - _sym(winv @ csb @ winv)
+            for i, (blk, winv) in enumerate(zip(blocks, Winv_list)):
+                csb = _sym(blk.apply(cx))
+                ds_blocks[i] = ds_blocks[i] + csb
+                dz_blocks[i] = dz_blocks[i] - _sym(winv @ csb @ winv)
             cs_lp = -(lp_rows @ cx)
             ds_lp = ds_lp + cs_lp
             dz_lp = dz_lp - (z_lp / s_lp) * cs_lp

@@ -309,3 +309,21 @@ def test_realized_variance_accepts_fractional_counts():
     assert realized_variance(system, n, store) == pytest.approx(
         blue_variance(system, n), rel=1e-10
     )
+
+
+def test_lifted_inverse_equals_inverse_when_well_conditioned():
+    rng = np.random.default_rng(17)
+    _, system = system_for([1.0, 0.5, 0.2], random_spd(rng, 3, max_corr=0.8))
+    for t in system.terms:
+        err = np.linalg.norm(t.lifted_inverse - t.inverse)
+        assert err <= 1e-10 * np.linalg.norm(t.inverse)
+
+
+def test_lifted_inverse_bounded_near_perfect_correlation():
+    rho = 1.0 - 1e-10
+    gs, system = system_for([1.0, 0.5], [[1.0, rho], [rho, 1.0]])
+    (t,) = [t for t in system.terms if t.group_index == gs.index_of((1, 2))]
+    lam_max = np.linalg.eigvalsh(t.covariance)[-1]
+    # the lifted spectrum's floor is 1e-6 * lam_max; allow for rounding only
+    assert np.linalg.norm(t.lifted_inverse, 2) <= 1e6 / lam_max * (1.0 + 1e-9)
+    assert np.linalg.norm(t.inverse, 2) > 1e9 / lam_max

@@ -354,3 +354,12 @@ def test_fractional_allocation_rejected():
     n = np.full(cfg.groups.num_groups, 0.5)
     with pytest.raises(ValueError, match="integer"):
         run_estimate(cfg, n, replications=1)
+
+
+def test_command_evaluator_non_finite_response(tmp_path):
+    nan = 'import sys\nfor line in sys.stdin: print(\'{"values": [NaN]}\', flush=True)\n'
+    cfg = command_config(tmp_path, script=nan)
+    n = np.zeros(cfg.groups.num_groups)
+    n[cfg.groups.index_of((1,))] = 1
+    with pytest.raises(EvaluatorError, match="bad evaluator response at group 0"):
+        run_estimate(cfg, n, replications=1, seed=0)

@@ -261,3 +261,41 @@ def test_symmetry_validation_rejects_bad_blocks():
             objective=np.array([1.0]),
             blocks=(PsdBlock(f0, np.array([0]), np.zeros((1, 2, 2))),),
         )
+
+
+def random_block(rng, p=5, num_vars=7, k=4):
+    const = rng.standard_normal((p, p))
+    coeffs = rng.standard_normal((k, p, p))
+    var_indices = rng.choice(num_vars, size=k, replace=False)
+    return PsdBlock(
+        const + const.T, var_indices, coeffs + coeffs.transpose(0, 2, 1)
+    )
+
+
+def test_block_map_and_adjoint_match_dense_reference():
+    rng = np.random.default_rng(41)
+    blk = random_block(rng)
+    x = rng.standard_normal(7)
+    z = rng.standard_normal((5, 5))
+    z = z + z.T
+    dense = sum(x[v] * f for v, f in zip(blk.var_indices, blk.coefficients))
+    assert np.allclose(blk.apply(x), dense, rtol=1e-13, atol=1e-13)
+    adj = np.zeros(7)
+    adj[blk.var_indices] = blk.adjoint(z)
+    # <A(x), Z> = x' A*(Z)
+    assert np.sum(blk.apply(x) * z) == pytest.approx(x @ adj, rel=1e-12)
+    for j, f in zip(blk.var_indices, blk.coefficients):
+        assert adj[j] == pytest.approx(np.trace(f @ z), rel=1e-12)
+
+
+def test_block_schur_term_matches_entrywise_traces():
+    rng = np.random.default_rng(42)
+    blk = random_block(rng)
+    a = rng.standard_normal((5, 7))
+    w = a @ a.T
+    ref = np.array([
+        [np.trace(fi @ w @ fj @ w) for fj in blk.coefficients]
+        for fi in blk.coefficients
+    ])
+    got = blk.schur(w)
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())

@@ -195,40 +195,31 @@ def _build(spec: MosapSpec):
     block_scales = []
     uniform = alloc_scale / num_groups
     for system in spec.systems:
-        psi = np.zeros((groups.num_models, groups.num_models))
-        for term in system.terms:
-            idx = np.ix_(term.model_indices, term.model_indices)
-            psi[idx] += uniform[term.group_index] * term.lifted_inverse
-        scale = float(np.linalg.norm(psi, 2))
+        weights = uniform[system.group_indices][:, None, None]
+        scale = float(np.linalg.norm((weights * system.lifted).sum(axis=0), 2))
         block_scales.append(max(scale, 1e-300))
     block_scales = np.asarray(block_scales)
     var_scale = float(np.max(block_scales))
 
     blocks = []
     for s, (system, bscale) in enumerate(zip(spec.systems, block_scales)):
-        active = system.active_models()
-        pos = {model: i for i, model in enumerate(active)}
-        p = len(active) + 1
+        # the block's rows: the models some usable group touches, then the
+        # corner; model 1 is always among them, so it sits at row 0
+        active = np.flatnonzero(system.members.any(axis=0))
+        p = active.size + 1
+        idx = system.group_indices
         constant = np.zeros((p, p))
-        constant[pos[0], p - 1] = constant[p - 1, pos[0]] = 1.0
-        var_indices = []
-        coeffs = []
-        for term in system.terms:
-            mat = np.zeros((p, p))
-            loc = [pos[i] for i in term.model_indices]
-            mat[np.ix_(loc, loc)] = term.lifted_inverse * (
-                alloc_scale[term.group_index] / bscale
-            )
-            var_indices.append(term.group_index)
-            coeffs.append(mat)
+        constant[0, p - 1] = constant[p - 1, 0] = 1.0
+        coeffs = np.zeros((idx.size + has_t, p, p))
+        coeffs[: idx.size, :-1, :-1] = system.lifted[:, active][:, :, active] * (
+            alloc_scale[idx] / bscale
+        )[:, None, None]
         if has_t:
-            mat = np.zeros((p, p))
-            mat[p - 1, p - 1] = bscale / var_scale
-            var_indices.append(num_groups)
-            coeffs.append(mat)
+            coeffs[-1, p - 1, p - 1] = bscale / var_scale
+            idx = np.append(idx, num_groups)
         else:
             constant[p - 1, p - 1] = spec.tolerances[s] * bscale
-        blocks.append(PsdBlock(constant, np.array(var_indices), np.array(coeffs)))
+        blocks.append(PsdBlock(constant, idx, coeffs))
 
     rows = []
     rhs = []

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .allocate import systems_from_store
 from .covariance import CovarianceStore, PilotBatch, sample_covariance
+from .estimator import BlueSystem
 from .models import GroupSet, ModelSet, enumerate_groups
 from .synthetic import SyntheticSuite
 
@@ -72,6 +75,11 @@ class ProblemConfig:
     @property
     def num_outputs(self) -> int:
         return self.models.num_outputs
+
+    @cached_property
+    def systems(self) -> tuple[BlueSystem, ...]:
+        """One BlueSystem per output, built on first use and then shared."""
+        return tuple(systems_from_store(self.groups, self.store))
 
 
 def _require_keys(obj, path, required, optional=()):

@@ -21,7 +21,6 @@ from .models import GroupSet
 
 __all__ = [
     "BlueSystem",
-    "GroupTerm",
     "SpectralPseudoInverse",
     "IllPosedError",
     "assemble_psi",
@@ -41,34 +40,29 @@ class IllPosedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GroupTerm:
-    """One group's contribution to an output's information matrix."""
-
-    group_index: int  # position in the global group list
-    model_indices: tuple[int, ...]  # 0-based rows the group touches
-    covariance: np.ndarray  # SPD group covariance, restriction order
-    inverse: np.ndarray  # covariance inverse via its Cholesky factor
-    # the allocation SDP's inverse: eigenvalues below 1e-6 of the largest
-    # are lifted before inverting. A store with a clipped (|rho| = 1) pair
-    # otherwise claims ~1e10 units of information per sample, and the
-    # Newton systems lose those directions in double precision. It only
-    # steers the search; variances are always computed from ``inverse``.
-    lifted_inverse: np.ndarray
-
-
-@dataclass(frozen=True)
 class BlueSystem:
-    """Estimator-side view of one output: usable groups and their blocks.
+    """Estimator-side view of one output: its usable groups as stacked blocks.
 
-    ``terms`` contains only groups that are allowed for the output and whose
-    covariance block is fully known in the store; everything else behaves as
-    if the group did not exist for this output.
+    A group is usable when it is allowed for the output and its covariance
+    block is fully known in the store; every other group behaves as if it
+    did not exist for this output. Row j of each stack belongs to global
+    group ``group_indices[j]``, in group order; the stacks are read-only.
     """
 
     num_models: int
     num_groups: int
     output: int
-    terms: tuple[GroupTerm, ...]
+    group_indices: np.ndarray  # (K,) global index of each usable group
+    members: np.ndarray  # (K, L) bool: the models in each group
+    # (K, L, L) R_kᵀ C_k⁻¹ R_k at full size, zero outside the group; the
+    # inverse comes from the covariance's Cholesky factor
+    information: np.ndarray
+    # (K, L, L) the allocation SDP's inverse: eigenvalues below 1e-6 of the
+    # largest are lifted before inverting. A store with a clipped (|rho| = 1)
+    # pair otherwise claims ~1e10 units of information per sample, and the
+    # Newton systems lose those directions in double precision. It only
+    # steers the search; variances are always computed from ``information``.
+    lifted: np.ndarray
     highfi_variance: float
     # over the global group list: usable for this output and contain model 1
     anchor_mask: np.ndarray
@@ -78,12 +72,17 @@ class BlueSystem:
         cls, groups: GroupSet, store: CovarianceStore, output: int = 1
     ) -> "BlueSystem":
         allowed = groups.per_output_allowed[output - 1]
-        terms = []
-        for k, group in enumerate(groups.groups):
-            if not allowed[k] or not store.group_known(group, output):
-                continue
+        usable = [
+            k for k, group in enumerate(groups.groups)
+            if allowed[k] and store.group_known(group, output)
+        ]
+        size = groups.num_models
+        members = np.zeros((len(usable), size), dtype=bool)
+        information = np.zeros((len(usable), size, size))
+        lifted = np.zeros((len(usable), size, size))
+        for j, k in enumerate(usable):
+            group = groups.groups[k]
             cov = extract_group_covariance(store, group, output)
-            idx = tuple(i - 1 for i in group)
             if not np.isfinite(cov).all():
                 raise ValueError(
                     f"covariance of group {group} for output {output} is not finite"
@@ -91,38 +90,34 @@ class BlueSystem:
             # raises LinAlgError when cov is not positive definite
             linv = np.linalg.inv(np.linalg.cholesky(cov))
             inv = linv.T @ linv
-            inv = 0.5 * (inv + inv.T)
             w, v = np.linalg.eigh(cov)
-            lifted = (v / np.maximum(w, 1e-6 * w[-1])) @ v.T
-            terms.append(GroupTerm(k, idx, cov, inv, 0.5 * (lifted + lifted.T)))
-        usable = np.zeros(groups.num_groups, dtype=bool)
-        usable[[t.group_index for t in terms]] = True
-        anchor_mask = groups.highfi_mask(output) & usable
-        anchor_mask.setflags(write=False)
+            lift = (v / np.maximum(w, 1e-6 * w[-1])) @ v.T
+            idx = np.asarray(group) - 1
+            members[j, idx] = True
+            information[j, idx[:, None], idx] = 0.5 * (inv + inv.T)
+            lifted[j, idx[:, None], idx] = 0.5 * (lift + lift.T)
+        group_indices = np.array(usable, dtype=int)
+        anchor_mask = np.zeros(groups.num_groups, dtype=bool)
+        anchor_mask[group_indices] = members[:, 0]
         if not np.any(anchor_mask):
             raise IllPosedError(
                 f"output {output} has no usable group containing model 1"
             )
         if not store.known[output - 1][0, 0]:
             raise IllPosedError(f"variance of model 1 unknown for output {output}")
+        for arr in (group_indices, members, information, lifted, anchor_mask):
+            arr.setflags(write=False)
         return cls(
             num_models=groups.num_models,
             num_groups=groups.num_groups,
             output=output,
-            terms=tuple(terms),
+            group_indices=group_indices,
+            members=members,
+            information=information,
+            lifted=lifted,
             highfi_variance=float(store.matrices[output - 1][0, 0]),
             anchor_mask=anchor_mask,
         )
-
-    def active_models(self) -> tuple[int, ...]:
-        """0-based model rows touched by at least one usable group."""
-        seen = set()
-        for t in self.terms:
-            seen.update(t.model_indices)
-        return tuple(sorted(seen))
-
-    def usable_group_indices(self) -> tuple[int, ...]:
-        return tuple(t.group_index for t in self.terms)
 
 
 def _check_allocation(system: BlueSystem, n) -> np.ndarray:
@@ -139,13 +134,10 @@ def _check_allocation(system: BlueSystem, n) -> np.ndarray:
 def assemble_psi(system: BlueSystem, n) -> np.ndarray:
     """Information matrix of the estimator at allocation n (full size)."""
     n = _check_allocation(system, n)
-    psi = np.zeros((system.num_models, system.num_models))
-    for t in system.terms:
-        w = n[t.group_index]
-        if w != 0.0:
-            ix = np.ix_(t.model_indices, t.model_indices)
-            psi[ix] += w * t.inverse
-    return psi
+    # summed along axis 0 in group order, so Ψ is reproducible bit for bit;
+    # tensordot or @ would reorder the sum
+    weights = n[system.group_indices][:, None, None]
+    return (weights * system.information).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -225,18 +217,13 @@ def realized_variance(system: BlueSystem, n, true_store: CovarianceStore) -> flo
     system applies to group k.
     """
     n = _check_allocation(system, n)
-    weights_full = _information_pinv(system, n)[:, 0]
-    total = 0.0
+    weights = _information_pinv(system, n)[:, 0]
+    counts = n[system.group_indices]
+    sampled = counts != 0.0
+    w_k = system.information[sampled] @ weights
+    # w_k vanishes outside group k, so the truth enters by group blocks only
     truth = true_store.matrices[system.output - 1]
-    for t in system.terms:
-        w = n[t.group_index]
-        if w == 0.0:
-            continue
-        idx = list(t.model_indices)
-        w_k = t.inverse @ weights_full[idx]
-        c_true = truth[np.ix_(idx, idx)]
-        total += w * float(w_k @ c_true @ w_k)
-    return total
+    return float(np.einsum("k,ki,ij,kj->", counts[sampled], w_k, truth, w_k))
 
 
 def null_space_basis(system: BlueSystem, n) -> np.ndarray:
@@ -247,15 +234,8 @@ def null_space_basis(system: BlueSystem, n) -> np.ndarray:
     positive allocation entry.
     """
     n = _check_allocation(system, n)
-    covered = set()
-    for t in system.terms:
-        if n[t.group_index] > 0.0:
-            covered.update(t.model_indices)
-    missing = [i for i in range(system.num_models) if i not in covered]
-    basis = np.zeros((system.num_models, len(missing)))
-    for col, i in enumerate(missing):
-        basis[i, col] = 1.0
-    return basis
+    covered = system.members[n[system.group_indices] > 0.0].any(axis=0)
+    return np.eye(system.num_models)[:, ~covered]
 
 
 def combine_samples(system: BlueSystem, n, samples: dict) -> np.ndarray:
@@ -263,7 +243,7 @@ def combine_samples(system: BlueSystem, n, samples: dict) -> np.ndarray:
 
     ``samples`` maps global group index -> array of shape (count, group
     size) with columns in ascending model-id order; counts must match the
-    (integer) allocation. Accumulation follows the system's fixed term
+    (integer) allocation. Accumulation follows the system's fixed group
     order, so results are reproducible bit for bit.
     """
     n = _check_allocation(system, n)
@@ -271,18 +251,18 @@ def combine_samples(system: BlueSystem, n, samples: dict) -> np.ndarray:
     if np.abs(n - counts).max(initial=0.0) > 1e-9:
         raise ValueError("combine_samples needs an integer allocation")
     rhs = np.zeros(system.num_models)
-    for t in system.terms:
-        c = counts[t.group_index]
-        if c == 0:
-            continue
-        block = np.asarray(samples[t.group_index], dtype=float)
-        if block.shape != (c, len(t.model_indices)):
+    # one pass per sampled group: the sample arrays differ in shape
+    for j in np.flatnonzero(counts[system.group_indices]):
+        k = int(system.group_indices[j])
+        members = system.members[j]
+        block = np.asarray(samples[k], dtype=float)
+        expected = (int(counts[k]), int(members.sum()))
+        if block.shape != expected:
             raise ValueError(
-                f"group {t.group_index} samples have shape {block.shape}, "
-                f"expected {(c, len(t.model_indices))}"
+                f"group {k} samples have shape {block.shape}, expected {expected}"
             )
         sums = block.sum(axis=0)
         if not np.isfinite(sums).all():
-            raise ValueError(f"group {t.group_index} samples are not finite")
-        rhs[list(t.model_indices)] += t.inverse @ sums
+            raise ValueError(f"group {k} samples are not finite")
+        rhs += system.information[j][:, members] @ sums
     return _information_pinv(system, counts.astype(float)) @ rhs

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocate import Allocation, MosapSpec, systems_from_store
+from .allocate import Allocation, MosapSpec
 from .baselines import BaselineAllocation
 from .config import ProblemConfig
 from .estimator import blue_variance, combine_samples
@@ -32,7 +32,6 @@ __all__ = [
     "EvaluatorError",
     "spec_from_config",
     "run_estimate",
-    "efficiency_report",
     "normalized_error",
     "allocation_to_json",
     "allocation_from_json",
@@ -131,7 +130,6 @@ def spec_from_config(config: ProblemConfig, mode: str | None = None,
     group containing the model. For pareto mode the scale-free tau_tilde is
     divided by the 2-norm of the group cost vector, matching pareto_sweep.
     """
-    systems = tuple(systems_from_store(config.groups, config.store))
     extra = []
     for i, cap in enumerate(config.model_caps):
         if cap is None:
@@ -151,7 +149,7 @@ def spec_from_config(config: ProblemConfig, mode: str | None = None,
     return MosapSpec(
         mode=mode,
         groups=config.groups,
-        systems=systems,
+        systems=config.systems,
         budget=config.budget,
         tolerances=config.tolerances,
         tau=tau,
@@ -188,7 +186,6 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
     if reps < 1:
         raise ValueError("replications must be >= 1")
 
-    systems = systems_from_store(config.groups, config.store)
     m = config.num_outputs
     sampled = np.flatnonzero(counts)
     evaluator = None
@@ -212,7 +209,7 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
                         int(counts[k]), dim, the_seed, int(k), replication=r)
                     draws[k] = evaluator.evaluate(
                         group, z, f"group {k} (replication {r})")
-            for s, system in enumerate(systems):
+            for s, system in enumerate(config.systems):
                 block = {k: draws[k][:, :, s] for k in sampled}
                 mu = combine_samples(system, counts.astype(float), block)
                 estimates[r, s] = mu[0]
@@ -221,7 +218,7 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
             evaluator.close()
 
     predicted = np.array(
-        [blue_variance(system, counts.astype(float)) for system in systems]
+        [blue_variance(system, counts.astype(float)) for system in config.systems]
     )
     empirical = None
     if reps > 1:
@@ -236,28 +233,6 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
         replications=reps,
         seed=the_seed,
     )
-
-
-def efficiency_report(estimate, reference) -> float | np.ndarray:
-    """Normalized efficiency: log10(reference variance / achieved variance).
-
-    0 means the run matched the best-case variance ``reference``; negative
-    values measure decades of lost efficiency. ``estimate`` may be an
-    EstimateReport (empirical variance preferred, predicted as fallback) or
-    a plain variance value/array.
-    """
-    if isinstance(estimate, EstimateReport):
-        var = estimate.empirical_variance
-        if var is None:
-            var = estimate.predicted_variance
-    else:
-        var = estimate
-    var = np.asarray(var, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    if np.any(var <= 0) or np.any(ref <= 0):
-        raise ValueError("variances must be positive")
-    out = np.log10(ref / var)
-    return float(out) if out.ndim == 0 else out
 
 
 def normalized_error(variances, highfi_variances) -> float:

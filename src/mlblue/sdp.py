@@ -23,7 +23,6 @@ feasible by construction once the budget check passes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "SdpSolution",
     "solve_sdp",
     "verify_schur_feasibility",
-    "dump_problem",
 ]
 
 
@@ -486,47 +484,3 @@ def verify_schur_feasibility(t, psi, rtol: float = 1e-8, border=None) -> bool:
         return False
     quad = float(np.sum(coeff[keep] ** 2 / w[keep]))
     return bool(t >= quad - rtol * max(1.0, abs(t), quad))
-
-
-def dump_problem(problem: SdpProblem, path) -> None:
-    """Write the problem as plain-text sparse triplets for external checks.
-
-    One line per nonzero: ``block row col var value``. Block 0 carries the
-    objective (row = col = 0, var = variable index, 1-based). Blocks
-    1..len(blocks) are the PSD constraints; var 0 is the constant term and
-    var i >= 1 the coefficient of variable i. Block len(blocks)+1 holds the
-    linear inequality rows as a diagonal slack map (rhs as var 0, minus the
-    row coefficients as var i). The implicit x >= 0 bounds are not dumped.
-    Values use 17 significant digits, enough to round-trip doubles.
-    """
-
-    def emit(f, blk, row, col, var, value):
-        if value != 0.0:
-            f.write(f"{blk} {row} {col} {var} {value:.17g}\n")
-
-    close = False
-    if isinstance(path, (str, bytes, os.PathLike)):
-        f = open(path, "w")
-        close = True
-    else:
-        f = path
-    try:
-        for i, qi in enumerate(problem.objective):
-            emit(f, 0, 0, 0, i + 1, qi)
-        for bnum, blk in enumerate(problem.blocks, start=1):
-            p = blk.order
-            for r in range(p):
-                for c in range(p):
-                    emit(f, bnum, r, c, 0, blk.constant[r, c])
-            for j, var in enumerate(blk.var_indices):
-                for r in range(p):
-                    for c in range(p):
-                        emit(f, bnum, r, c, int(var) + 1, blk.coefficients[j, r, c])
-        lp_block = len(problem.blocks) + 1
-        for r in range(problem.ineq_rhs.size):
-            emit(f, lp_block, r, r, 0, problem.ineq_rhs[r])
-            for i in range(problem.num_vars):
-                emit(f, lp_block, r, r, i + 1, -problem.ineq_matrix[r, i])
-    finally:
-        if close:
-            f.close()

@@ -163,7 +163,7 @@ def test_every_output_keeps_a_highfi_group():
     hf = gs.contains_highfi()
     for s in (1, 2):
         usable = np.array(
-            [k in systems[s - 1].usable_group_indices() for k in range(gs.num_groups)]
+            [k in systems[s - 1].group_indices for k in range(gs.num_groups)]
         )
         assert alloc.n[hf & usable].sum() >= 1.0
 

@@ -58,7 +58,7 @@ def test_null_entry_denies_group():
     from mlblue.allocate import systems_from_store
 
     (system,) = systems_from_store(cfg.groups, cfg.store)
-    used = [cfg.groups.groups[k] for k in system.usable_group_indices()]
+    used = [cfg.groups.groups[k] for k in system.group_indices]
     assert (1, 3) not in used and (1, 2, 3) not in used
 
 

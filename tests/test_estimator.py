@@ -270,12 +270,59 @@ def test_system_skips_unknown_groups():
     known[0, 2] = known[2, 0] = False
     store = CovarianceStore(np.eye(3)[None], known=known[None])
     system = BlueSystem.from_covariance(gs, store)
-    usable = [gs.groups[k] for k in system.usable_group_indices()]
+    usable = [gs.groups[k] for k in system.group_indices]
     assert (1, 3) not in usable
     assert (1, 2) in usable and (2, 3) in usable
     expect = gs.highfi_mask(1).copy()
     expect[gs.index_of((1, 3))] = False
     assert np.array_equal(system.anchor_mask, expect)
+
+
+def test_stacks_match_dense_group_reference():
+    # per-group inverses scattered into full-size matrices, group by group
+    rng = np.random.default_rng(41)
+    cov, truth = random_spd(rng, 5), random_spd(rng, 5)
+    known = np.ones((5, 5), dtype=bool)
+    known[1, 3] = known[3, 1] = False
+    gs = enumerate_groups(all_output_modelset([16.0, 8.0, 4.0, 2.0, 1.0]), kappa=3)
+    store = CovarianceStore(cov[None], known=known[None])
+    system = BlueSystem.from_covariance(gs, store)
+    usable = [k for k, g in enumerate(gs.groups) if not {2, 4} <= set(g)]
+    assert len(usable) < gs.num_groups
+    assert system.group_indices.tolist() == usable
+    for stack in (system.group_indices, system.members, system.information,
+                  system.lifted):
+        assert not stack.flags.writeable
+
+    n = rng.integers(0, 4, gs.num_groups).astype(float)
+    for i in range(1, 6):
+        n[gs.index_of((i,))] = rng.integers(1, 4)
+    psi = np.zeros((5, 5))
+    rhs = np.zeros(5)
+    inverses = {}
+    samples = {}
+    for k in usable:
+        idx = [i - 1 for i in gs.groups[k]]
+        inverses[k] = np.linalg.inv(cov[np.ix_(idx, idx)])
+        psi[np.ix_(idx, idx)] += n[k] * inverses[k]
+        if n[k] > 0:
+            samples[k] = rng.standard_normal((int(n[k]), len(idx)))
+            rhs[idx] += inverses[k] @ samples[k].sum(axis=0)
+    psi_inv = np.linalg.inv(psi)
+    weights = psi_inv[:, 0]
+    realized = 0.0
+    for k in usable:
+        idx = [i - 1 for i in gs.groups[k]]
+        w_k = inverses[k] @ weights[idx]
+        realized += n[k] * w_k @ truth[np.ix_(idx, idx)] @ w_k
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    assert rel(assemble_psi(system, n), psi) <= 1e-12
+    assert rel(combine_samples(system, n, samples), psi_inv @ rhs) <= 1e-12
+    got = realized_variance(system, n, CovarianceStore(truth[None]))
+    assert got == pytest.approx(realized, rel=1e-12)
 
 
 def test_realized_variance_with_misjudged_covariance():
@@ -314,16 +361,17 @@ def test_realized_variance_accepts_fractional_counts():
 def test_lifted_inverse_equals_inverse_when_well_conditioned():
     rng = np.random.default_rng(17)
     _, system = system_for([1.0, 0.5, 0.2], random_spd(rng, 3, max_corr=0.8))
-    for t in system.terms:
-        err = np.linalg.norm(t.lifted_inverse - t.inverse)
-        assert err <= 1e-10 * np.linalg.norm(t.inverse)
+    for lifted, inverse in zip(system.lifted, system.information):
+        err = np.linalg.norm(lifted - inverse)
+        assert err <= 1e-10 * np.linalg.norm(inverse)
 
 
 def test_lifted_inverse_bounded_near_perfect_correlation():
     rho = 1.0 - 1e-10
-    gs, system = system_for([1.0, 0.5], [[1.0, rho], [rho, 1.0]])
-    (t,) = [t for t in system.terms if t.group_index == gs.index_of((1, 2))]
-    lam_max = np.linalg.eigvalsh(t.covariance)[-1]
+    cov = [[1.0, rho], [rho, 1.0]]
+    gs, system = system_for([1.0, 0.5], cov)
+    (j,) = np.flatnonzero(system.group_indices == gs.index_of((1, 2)))
+    lam_max = np.linalg.eigvalsh(cov)[-1]
     # the lifted spectrum's floor is 1e-6 * lam_max; allow for rounding only
-    assert np.linalg.norm(t.lifted_inverse, 2) <= 1e6 / lam_max * (1.0 + 1e-9)
-    assert np.linalg.norm(t.inverse, 2) > 1e9 / lam_max
+    assert np.linalg.norm(system.lifted[j], 2) <= 1e6 / lam_max * (1.0 + 1e-9)
+    assert np.linalg.norm(system.information[j], 2) > 1e9 / lam_max

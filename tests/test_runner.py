@@ -14,7 +14,6 @@ from mlblue.runner import (
     allocation_from_json,
     allocation_to_json,
     baseline_to_json,
-    efficiency_report,
     emit_outputs,
     frontier_to_csv,
     normalized_error,
@@ -90,24 +89,6 @@ def test_replications_use_disjoint_streams():
     _, alloc = integer_allocation(cfg)
     r = run_estimate(cfg, alloc, replications=40, seed=3)
     assert np.unique(r.estimates[:, 0]).size == 40
-
-
-def test_efficiency_report_values():
-    assert efficiency_report(0.02, 0.02) == pytest.approx(0.0)
-    assert efficiency_report(0.2, 0.02) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        efficiency_report(0.0, 0.02)
-    out = efficiency_report(np.array([0.1, 1.0]), np.array([0.1, 0.1]))
-    assert out == pytest.approx([0.0, -1.0])
-
-
-def test_efficiency_report_prefers_empirical():
-    cfg = two_model_config()
-    _, alloc = integer_allocation(cfg)
-    rep = run_estimate(cfg, alloc, replications=200, seed=4)
-    from_report = efficiency_report(rep, rep.predicted_variance)
-    direct = np.log10(rep.predicted_variance / rep.empirical_variance)
-    assert from_report == pytest.approx(direct)
 
 
 def test_normalized_error_is_worst_output():

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -12,7 +10,6 @@ from mlblue.sdp import (
     SdpProblem,
     SdpSettings,
     _tril_inv,
-    dump_problem,
     solve_sdp,
     verify_schur_feasibility,
 )
@@ -196,23 +193,6 @@ def test_verify_schur_matches_eigenvalue_oracle():
                 assert got == eig_ok
 
 
-def test_dump_problem_triplet_format():
-    prob = corner_problem()
-    buf = io.StringIO()
-    dump_problem(prob, buf)
-    lines = buf.getvalue().strip().splitlines()
-    rows = [ln.split() for ln in lines]
-    assert all(len(r) == 5 for r in rows)
-    # objective row: block 0, variable 1 (1-based), value 1
-    assert ["0", "0", "0", "1", "1"] in rows
-    # constant part of the PSD block uses variable tag 0
-    consts = [r for r in rows if r[0] == "1" and r[3] == "0"]
-    got = {(r[1], r[2]): float(r[4]) for r in consts}
-    assert got == {("0", "0"): 1.0, ("0", "1"): 1.0, ("1", "0"): 1.0}
-    # t's coefficient on the (1,1) entry
-    assert ["1", "1", "1", "1", "1"] in rows
-
-
 def test_triangular_inverse_matches_general_inverse():
     rng = np.random.default_rng(22)
     for n in (1, 7, 48, 49, 131):
@@ -221,16 +201,6 @@ def test_triangular_inverse_matches_general_inverse():
         inv = _tril_inv(low)
         assert np.allclose(inv, np.linalg.inv(low), rtol=0, atol=1e-10)
         assert np.allclose(inv @ low, np.eye(n), rtol=0, atol=1e-10)
-
-
-def test_dump_problem_to_path(tmp_path):
-    prob = corner_problem()
-    buf = io.StringIO()
-    dump_problem(prob, buf)
-    dump_problem(prob, tmp_path / "p.txt")
-    dump_problem(prob, str(tmp_path / "q.txt"))
-    assert (tmp_path / "p.txt").read_text() == buf.getvalue()
-    assert (tmp_path / "q.txt").read_text() == buf.getvalue()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

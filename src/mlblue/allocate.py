@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .covariance import CovarianceStore
-from .estimator import BlueSystem, IllPosedError, blue_variance
+from .estimator import BlueSystem, IllPosedError, _weighted_sum, blue_variance
 from .models import GroupSet
 from .sdp import PsdBlock, SdpProblem, SdpSettings, solve_sdp
 
@@ -195,8 +195,8 @@ def _build(spec: MosapSpec):
     block_scales = []
     uniform = alloc_scale / num_groups
     for system in spec.systems:
-        weights = uniform[system.group_indices][:, None, None]
-        scale = float(np.linalg.norm((weights * system.lifted).sum(axis=0), 2))
+        psi = _weighted_sum(system.lifted, uniform[system.group_indices])
+        scale = float(np.linalg.norm(psi, 2))
         block_scales.append(max(scale, 1e-300))
     block_scales = np.asarray(block_scales)
     var_scale = float(np.max(block_scales))

@@ -134,10 +134,14 @@ def _check_allocation(system: BlueSystem, n) -> np.ndarray:
 def assemble_psi(system: BlueSystem, n) -> np.ndarray:
     """Information matrix of the estimator at allocation n (full size)."""
     n = _check_allocation(system, n)
+    return _weighted_sum(system.information, n[system.group_indices])
+
+
+def _weighted_sum(stack, weights) -> np.ndarray:
+    """Σ_k weights[k] * stack[k] over a (K, L, L) stack of group blocks."""
     # summed along axis 0 in group order, so Ψ is reproducible bit for bit;
     # tensordot or @ would reorder the sum
-    weights = n[system.group_indices][:, None, None]
-    return (weights * system.information).sum(axis=0)
+    return (weights[:, None, None] * stack).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Compare what `mlblue` writes from two source trees on the benchmark configs.
 
-    python3 tools/compare_cli.py PARENT_TREE CHANGE_TREE [--seeds 1 2] [--rtol R]
+    python3 tools/compare_cli.py PARENT_TREE CHANGE_TREE
 
-For each seed, the configs of every workload in ``perfbench/workloads.py``
+For seeds 1 and 2, the configs of every workload in ``perfbench/workloads.py``
 (the copy next to this script, imported read-only) are generated once. Each
 operation then runs as ``python -m mlblue`` with each tree's ``src`` on
 PYTHONPATH, in a directory of its own with the same relative file names, so
@@ -11,13 +11,15 @@ the ``--output`` file, stdout and stderr are byte-identical, both exit codes,
 and the largest relative difference among the numeric fields of the two
 JSON outputs, with the field's path.
 
-Exit status 0 when every operation has equal exit codes and console text and
-every numeric difference is at most ``--rtol``; 1 otherwise.
+Exit status 0 when every operation has equal exit codes and console text,
+every ``allocate``, ``benchmark`` and ``pareto`` output is byte-identical, and
+every numeric difference in an ``estimate`` output is at most 1e-12 relative
+(the last bits of the sample combine are not reproducible across array
+layouts); 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -30,6 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+
+SEEDS = (1, 2)
+ESTIMATE_RTOL = 1e-12
 
 
 def max_rel_diff(a, b, path="/"):
@@ -74,10 +79,10 @@ def run_tree(tree, argv, config, workdir):
         out.read_bytes() if out.exists() else None)
 
 
-def compare(parent, change, seeds, rtol):
+def compare(parent, change):
     ok = True
     with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
-        for seed in seeds:
+        for seed in SEEDS:
             for workload in sorted(workloads.WORKLOADS):
                 for inst, config in workloads.generate(workload, seed):
                     argv = inst.argv("config.json", "out.json")
@@ -92,7 +97,11 @@ def compare(parent, change, seeds, rtol):
                         except (TypeError, ValueError):
                             diff = (math.inf, "unreadable output")
                     console_same = out_a == out_b and err_a == err_b
-                    ok &= rc_a == rc_b and console_same and diff[0] <= rtol
+                    if inst.command == "estimate":
+                        output_ok = diff[0] <= ESTIMATE_RTOL
+                    else:
+                        output_ok = file_a == file_b
+                    ok &= rc_a == rc_b and console_same and output_ok
                     print(f"seed {seed} {inst.name:<14} {inst.command:<9} "
                           f"output={'same' if file_a == file_b else 'DIFF'} "
                           f"console={'same' if console_same else 'DIFF'} "
@@ -101,16 +110,11 @@ def compare(parent, change, seeds, rtol):
     return ok
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="source tree of the parent commit")
-    parser.add_argument("change", help="source tree of the change")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--rtol", type=float, default=1e-12,
-                        help="largest numeric difference that passes")
-    args = parser.parse_args(argv)
-    return 0 if compare(args.parent, args.change, args.seeds, args.rtol) else 1
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    return 0 if compare(*argv) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -30,7 +30,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .covariance import CovarianceStore
-from .estimator import BlueSystem, IllPosedError, _weighted_sum, blue_variance
+from .estimator import (
+    BlueSystem,
+    IllPosedError,
+    _weighted_sum,
+    blue_variance,
+    normalized_error,
+)
 from .models import GroupSet
 from .sdp import PsdBlock, SdpProblem, SdpSettings, solve_sdp
 
@@ -431,20 +437,18 @@ def pareto_sweep(
     if spec.mode != "pareto":
         raise ValueError("pareto_sweep needs a pareto-mode spec")
     cost_norm = float(np.linalg.norm(spec.group_costs))
+    v1 = [s.highfi_variance for s in spec.systems]
     records = []
     for tau_tilde in sorted(float(t) for t in tau_tilde_values):
         point_spec = replace(spec, tau=tau_tilde / cost_norm)
         record = {"tau_tilde": tau_tilde, "tau": tau_tilde / cost_norm}
         try:
             alloc = solve_mosap(point_spec, settings)
-            v1 = np.array([s.highfi_variance for s in spec.systems])
             record.update(
                 allocation=alloc,
                 cost=alloc.total_cost,
                 variance=alloc.max_variance,
-                normalized_error=float(
-                    np.max(np.sqrt(alloc.per_output_variance / v1))
-                ),
+                normalized_error=normalized_error(alloc.per_output_variance, v1),
                 status=alloc.solver_status,
             )
         except (RuntimeError, ValueError, IllPosedError) as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .allocate import integer_projection, pareto_sweep, solve_mosap
 from .baselines import multi_output_baseline
-from .config import ConfigError, load_problem
+from .config import ConfigError, check_seed, load_problem
 from .estimator import IllPosedError
 from .runner import (
     EvaluatorError,
@@ -101,6 +101,8 @@ def _cmd_pareto(args):
 
 
 def _cmd_estimate(args):
+    if args.seed is not None:
+        check_seed(args.seed, "--seed")
     cfg = load_problem(args.config)
     if cfg.mode == "pareto" and cfg.tau_tilde is None:
         raise ConfigError("/mode", "estimate needs budget, tolerance, or a fixed tau_tilde")

@@ -33,6 +33,7 @@ __all__ = [
     "load_problem",
     "parse_problem",
     "save_problem",
+    "check_seed",
     "PILOT_STREAM_INDEX",
 ]
 
@@ -107,6 +108,13 @@ def _as_number(value, path, positive=False, integer=False):
             raise ConfigError(path, "expected an integer")
         return int(out)
     return out
+
+
+def check_seed(seed: int, path: str) -> int:
+    """A sampling seed must fit one 64-bit word of the Philox key."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(path, f"seed {seed} is outside [0, 2**64)")
+    return seed
 
 
 def _as_number_list(value, path, positive=False):
@@ -340,9 +348,7 @@ def parse_problem(raw: dict) -> ProblemConfig:
                   ("synthetic", "groups", "constraints", "evaluator", "seed", "replications"))
     models = _parse_models(raw["models"])
     suite = _parse_synthetic(raw.get("synthetic"), models)
-    seed = _as_number(raw.get("seed", 0), "/seed", integer=True)
-    if seed < 0:
-        raise ConfigError("/seed", "must be >= 0")
+    seed = check_seed(_as_number(raw.get("seed", 0), "/seed", integer=True), "/seed")
     replications = _as_number(raw.get("replications", 100), "/replications",
                               positive=True, integer=True)
     store = _parse_covariance(raw["covariance"], models, suite, seed)

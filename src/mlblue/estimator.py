@@ -29,6 +29,7 @@ __all__ = [
     "realized_variance",
     "null_space_basis",
     "combine_samples",
+    "normalized_error",
 ]
 
 # column-space membership tolerance for the identifiability check
@@ -242,31 +243,38 @@ def null_space_basis(system: BlueSystem, n) -> np.ndarray:
     return np.eye(system.num_models)[:, ~covered]
 
 
-def combine_samples(system: BlueSystem, n, samples: dict) -> np.ndarray:
-    """Combine drawn group samples into the estimate of all model means.
+def combine_samples(system: BlueSystem, n, sums: dict) -> np.ndarray:
+    """Combine group sample sums into the estimate of all model means.
 
-    ``samples`` maps global group index -> array of shape (count, group
-    size) with columns in ascending model-id order; counts must match the
-    (integer) allocation. Accumulation follows the system's fixed group
-    order, so results are reproducible bit for bit.
+    ``sums`` maps global group index -> array of shape (..., group size):
+    the sum over that group's samples, columns in ascending model-id order.
+    The leading axes (replications, say) are carried through to the result,
+    (..., num_models), with one Ψ⁺ for all of them. Groups are accumulated
+    in the system's fixed order, so results are reproducible bit for bit.
     """
     n = _check_allocation(system, n)
-    counts = np.rint(n).astype(int)
+    counts = np.rint(n)
     if np.abs(n - counts).max(initial=0.0) > 1e-9:
         raise ValueError("combine_samples needs an integer allocation")
-    rhs = np.zeros(system.num_models)
-    # one pass per sampled group: the sample arrays differ in shape
+    rhs = 0.0
+    # one pass per sampled group: the group sizes differ
     for j in np.flatnonzero(counts[system.group_indices]):
         k = int(system.group_indices[j])
         members = system.members[j]
-        block = np.asarray(samples[k], dtype=float)
-        expected = (int(counts[k]), int(members.sum()))
-        if block.shape != expected:
-            raise ValueError(
-                f"group {k} samples have shape {block.shape}, expected {expected}"
-            )
-        sums = block.sum(axis=0)
-        if not np.isfinite(sums).all():
+        block = np.asarray(sums[k], dtype=float)
+        if block.shape[-1:] != (members.sum(),):
+            raise ValueError(f"group {k} sums have shape {block.shape}, "
+                             f"expected {members.sum()} columns")
+        if not np.isfinite(block).all():
             raise ValueError(f"group {k} samples are not finite")
-        rhs += system.information[j][:, members] @ sums
-    return _information_pinv(system, counts.astype(float)) @ rhs
+        rhs = rhs + block @ system.information[j][members]
+    return rhs @ _information_pinv(system, counts)
+
+
+def normalized_error(variances, highfi_variances) -> float:
+    """Worst-output relative error max_s sqrt(V_s / V[model 1, output s])."""
+    v = np.asarray(variances, dtype=float)
+    ref = np.asarray(highfi_variances, dtype=float)
+    if np.any(ref <= 0):
+        raise ValueError("high-fidelity variances must be positive")
+    return float(np.sqrt(v / ref).max())

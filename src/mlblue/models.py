@@ -20,7 +20,6 @@ __all__ = [
     "GroupSet",
     "enumerate_groups",
     "restriction_indices",
-    "check_budget_feasibility",
 ]
 
 
@@ -190,12 +189,3 @@ def restriction_indices(group, num_models: int) -> tuple[int, ...]:
     if len(set(idx)) != len(idx):
         raise ValueError(f"group {tuple(group)} has repeated members")
     return tuple(idx)
-
-
-def check_budget_feasibility(groups: GroupSet, budget: float, output: int = 1) -> bool:
-    """True when the budget buys at least one sample of some group that
-    contains model 1 and is allowed for the given output."""
-    mask = groups.highfi_mask(output)
-    if not np.any(mask):
-        return False
-    return bool(budget >= np.min(groups.group_costs[mask]))

@@ -1,11 +1,12 @@
-"""End-to-end estimator execution, efficiency metrics, and file emission.
+"""End-to-end estimator execution and file emission.
 
 run_estimate turns an integer allocation into actual estimates: for every
 group with a positive count it draws that many common-input samples of the
-group's models, per replication, then combines them through the linear
-estimator core one output at a time. Sample streams are keyed by (seed,
-group index) with one counter block per replication, so results depend
-only on (config, seed), never on execution order.
+group's models per replication and keeps only their sums, then combines
+the sums of all replications through the linear estimator core, one call
+per output. Sample streams are keyed by (seed, group index) with one
+counter block per replication, so results depend only on (config, seed),
+never on execution order.
 
 The module also owns the on-disk formats: allocation JSON, estimate-report
 JSON, and the Pareto frontier CSV with its fixed header and 17-significant-
@@ -32,7 +33,6 @@ __all__ = [
     "EvaluatorError",
     "spec_from_config",
     "run_estimate",
-    "normalized_error",
     "allocation_to_json",
     "allocation_from_json",
     "baseline_to_json",
@@ -78,8 +78,9 @@ class _CommandEvaluator:
     requests for a run.
     """
 
-    def __init__(self, argv, num_outputs):
+    def __init__(self, argv, num_outputs, input_dim):
         self.num_outputs = num_outputs
+        self.input_dim = input_dim
         try:
             self.proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -88,7 +89,12 @@ class _CommandEvaluator:
         except OSError as exc:
             raise EvaluatorError(f"cannot start evaluator {argv!r}: {exc}") from exc
 
-    def evaluate(self, group, z, where):
+    def draw_group(self, group, count, seed, group_index, replication=0):
+        """``SyntheticSuite.draw_group`` with the models evaluated externally:
+        same keyed streams, same (count, len(group), num_outputs) result."""
+        z = SyntheticSuite.factor_draws(count, self.input_dim, seed,
+                                        group_index, replication)
+        where = f"group {group_index} (replication {replication})"
         out = np.empty((z.shape[0], len(group), self.num_outputs))
         for j in range(z.shape[0]):
             for a, model in enumerate(group):
@@ -176,50 +182,40 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
     replications use disjoint streams. The reduction order is fixed, so
     identical (config, seed) gives bit-identical reports.
     """
-    if isinstance(allocation, Allocation):
-        n = allocation.n
-    else:
-        n = allocation
+    n = allocation.n if isinstance(allocation, Allocation) else allocation
     counts = _integer_counts(n, config.groups.num_groups)
     reps = int(config.replications if replications is None else replications)
     the_seed = int(config.seed if seed is None else seed)
     if reps < 1:
         raise ValueError("replications must be >= 1")
 
+    # an ill-posed allocation raises here, before any evaluation
+    predicted = np.array([blue_variance(system, counts)
+                          for system in config.systems])
     m = config.num_outputs
-    sampled = np.flatnonzero(counts)
+    # per sampled group: (replications, group size, outputs) sample sums
+    sums = {int(k): np.empty((reps, len(config.groups.groups[k]), m))
+            for k in np.flatnonzero(counts)}
     evaluator = None
     if config.evaluator["type"] == "command":
-        evaluator = _CommandEvaluator(config.evaluator["argv"], m)
-        dim = config.evaluator["input_dim"]
+        evaluator = _CommandEvaluator(config.evaluator["argv"], m,
+                                      config.evaluator["input_dim"])
     elif config.suite is None:
         raise ValueError("synthetic evaluator needs a suite")
-
-    estimates = np.empty((reps, m))
+    draw_group = (evaluator or config.suite).draw_group
     try:
         for r in range(reps):
-            draws = {}
-            for k in sampled:
-                group = config.groups.groups[k]
-                if evaluator is None:
-                    draws[k] = config.suite.draw_group(
-                        group, int(counts[k]), the_seed, int(k), replication=r)
-                else:
-                    z = SyntheticSuite.factor_draws(
-                        int(counts[k]), dim, the_seed, int(k), replication=r)
-                    draws[k] = evaluator.evaluate(
-                        group, z, f"group {k} (replication {r})")
-            for s, system in enumerate(config.systems):
-                block = {k: draws[k][:, :, s] for k in sampled}
-                mu = combine_samples(system, counts.astype(float), block)
-                estimates[r, s] = mu[0]
+            for k, buffer in sums.items():
+                buffer[r] = draw_group(config.groups.groups[k], int(counts[k]),
+                                       the_seed, k, replication=r).sum(axis=0)
     finally:
         if evaluator is not None:
             evaluator.close()
 
-    predicted = np.array(
-        [blue_variance(system, counts.astype(float)) for system in config.systems]
-    )
+    estimates = np.empty((reps, m))
+    for s, system in enumerate(config.systems):
+        output_sums = {k: buffer[..., s] for k, buffer in sums.items()}
+        estimates[:, s] = combine_samples(system, counts, output_sums)[:, 0]
     empirical = None
     if reps > 1:
         empirical = estimates.var(axis=0, ddof=1)
@@ -233,15 +229,6 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
         replications=reps,
         seed=the_seed,
     )
-
-
-def normalized_error(variances, highfi_variances) -> float:
-    """Worst-output relative error sqrt(V[estimate]/V[model 1 output])."""
-    v = np.asarray(variances, dtype=float)
-    ref = np.asarray(highfi_variances, dtype=float)
-    if np.any(ref <= 0):
-        raise ValueError("high-fidelity variances must be positive")
-    return float(np.sqrt(v / ref).max())
 
 
 def _gap_or_none(value):

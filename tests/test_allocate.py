@@ -147,9 +147,19 @@ def test_budget_homogeneity():
 
 
 def test_infeasible_budget_rejected():
-    spec, _ = single_output_spec([10.0, 0.5], np.eye(2), "budget", budget=5.0)
-    with pytest.raises(ValueError, match="cannot buy"):
-        solve_mosap(spec)
+    single, _ = single_output_spec([10.0, 0.5], np.eye(2), "budget", budget=5.0)
+    # with {1} denied, output 1 can ride the cheap pair {1,2} but output 2
+    # needs {1,3}, which costs 7
+    models = ModelSet(
+        [2.0, 1.0, 5.0], outputs=[[1, 2], [1], [1, 2]], num_outputs=2
+    )
+    gs = enumerate_groups(models, kappa=2, deny_list=[(1,)])
+    systems = systems_from_store(gs, CovarianceStore(np.stack([np.eye(3)] * 2)))
+    per_output = MosapSpec(mode="budget", groups=gs, systems=systems, budget=3.0)
+    for spec, where in ((single, "output 1 .cheapest costs 10"),
+                        (per_output, "output 2 .cheapest costs 7")):
+        with pytest.raises(ValueError, match="cannot buy .* for " + where):
+            solve_mosap(spec)
 
 
 def test_every_output_keeps_a_highfi_group():

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlblue
 from mlblue.cli import main
 
 
@@ -129,6 +132,13 @@ def test_estimate_seed_determinism(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_estimate_seed_out_of_range_exits_2(tmp_path, capsys, seed):
+    rc = main(["estimate", "--config", budget_config(tmp_path), "--seed", seed])
+    assert rc == 2
+    assert f"--seed: seed {seed} is outside" in capsys.readouterr().err
+
+
 def test_estimate_evaluator_failure_exits_4(tmp_path, capsys):
     script = tmp_path / "dies.py"
     script.write_text("import sys\nsys.exit(5)\n")
@@ -196,10 +206,15 @@ def test_benchmark_needs_tolerance_mode(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    src = str(Path(mlblue.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "mlblue", "allocate",
          "--config", budget_config(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mode"] == "budget"

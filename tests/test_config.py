@@ -245,13 +245,13 @@ def test_invalid_json_wrapped(tmp_path):
 
 
 def test_config_error_carries_path():
-    try:
+    with pytest.raises(ConfigError) as info:
         parse_problem({"models": {"costs": [1.0]}})
-    except ConfigError as exc:
-        assert exc.path == "/"
-    raw = minimal()
-    raw["seed"] = -1
-    try:
-        parse_problem(raw)
-    except ConfigError as exc:
-        assert exc.path == "/seed"
+    assert info.value.path == "/"
+    # 2**64 - 1 reads through float as 2**64, one past the Philox key range
+    for seed in (-1, 2 ** 64 - 1):
+        raw = minimal()
+        raw["seed"] = seed
+        with pytest.raises(ConfigError) as info:
+            parse_problem(raw)
+        assert info.value.path == "/seed"

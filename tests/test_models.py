@@ -7,7 +7,6 @@ import pytest
 from mlblue.models import (
     GroupSet,
     ModelSet,
-    check_budget_feasibility,
     enumerate_groups,
     restriction_indices,
 )
@@ -113,27 +112,6 @@ def test_restriction_indices_rejects_bad_groups():
         restriction_indices((1, 4), 3)
     with pytest.raises(ValueError):
         restriction_indices((2, 2), 3)
-
-
-def test_budget_feasibility_examples():
-    models = ModelSet([10.0, 0.5])
-    gs = enumerate_groups(models, kappa=2)  # costs 10, 0.5, 10.5
-    assert check_budget_feasibility(gs, 10.0)
-    assert not check_budget_feasibility(gs, 9.99)
-    single = enumerate_groups(ModelSet([1.0]), kappa=1)
-    assert check_budget_feasibility(single, 1.0)
-
-
-def test_budget_feasibility_per_output():
-    # with {1} denied, output 1 can ride the cheap pair {1,2} but output 2
-    # needs {1,3}, which costs 7
-    models = ModelSet(
-        [2.0, 1.0, 5.0], outputs=[[1, 2], [1], [1, 2]], num_outputs=2
-    )
-    gs = enumerate_groups(models, kappa=2, deny_list=[(1,)])
-    assert check_budget_feasibility(gs, 3.0, output=1)
-    assert not check_budget_feasibility(gs, 3.0, output=2)
-    assert check_budget_feasibility(gs, 7.0, output=2)
 
 
 def test_contains_highfi_and_mask():

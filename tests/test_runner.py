@@ -9,6 +9,7 @@ import pytest
 from mlblue.allocate import integer_projection, solve_mosap
 from mlblue.baselines import BaselineAllocation
 from mlblue.config import parse_problem
+from mlblue.estimator import IllPosedError, normalized_error
 from mlblue.runner import (
     EvaluatorError,
     allocation_from_json,
@@ -16,7 +17,6 @@ from mlblue.runner import (
     baseline_to_json,
     emit_outputs,
     frontier_to_csv,
-    normalized_error,
     report_to_json,
     run_estimate,
     spec_from_config,
@@ -89,6 +89,63 @@ def test_replications_use_disjoint_streams():
     _, alloc = integer_allocation(cfg)
     r = run_estimate(cfg, alloc, replications=40, seed=3)
     assert np.unique(r.estimates[:, 0]).size == 40
+
+
+def two_output_config():
+    rng = np.random.default_rng(8)
+    return parse_problem({
+        "models": {"costs": [4.0, 1.0, 0.25], "outputs": [[1, 2]] * 3},
+        "synthetic": {"loadings": rng.standard_normal((2, 3, 5)).tolist(),
+                      "means": [[1.0, 0.5, -0.5], [2.0, -1.0, 0.0]]},
+        "covariance": {"type": "synthetic"},
+        "mode": {"type": "budget", "budget": 40.0},
+    })
+
+
+def two_output_allocation(cfg):
+    n = np.zeros(cfg.groups.num_groups)
+    for group, count in (((1,), 2), ((1, 2), 3), ((2, 3), 4), ((3,), 5)):
+        n[cfg.groups.index_of(group)] = count
+    return n
+
+
+def test_estimates_match_dense_per_replication_reference():
+    cfg = two_output_config()
+    n = two_output_allocation(cfg)
+    reps, seed = 7, 21
+    report = run_estimate(cfg, n, replications=reps, seed=seed)
+    sampled = np.flatnonzero(n)
+    want = np.empty((reps, 2))
+    for r in range(reps):
+        draws = {k: cfg.suite.draw_group(cfg.groups.groups[k], int(n[k]), seed,
+                                         int(k), replication=r)
+                 for k in sampled}
+        for s in range(2):
+            psi = np.zeros((3, 3))
+            rhs = np.zeros(3)
+            for k in sampled:
+                idx = [i - 1 for i in cfg.groups.groups[k]]
+                inv = np.linalg.inv(cfg.store.matrices[s][np.ix_(idx, idx)])
+                psi[np.ix_(idx, idx)] += n[k] * inv
+                rhs[idx] += inv @ draws[k][:, :, s].sum(axis=0)
+            want[r, s] = (np.linalg.inv(psi) @ rhs)[0]
+    assert np.abs(report.estimates - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_combine_runs_once_per_output(monkeypatch):
+    import mlblue.runner
+
+    calls = []
+    combine = mlblue.runner.combine_samples
+
+    def counting(*args):
+        calls.append(args[0].output)
+        return combine(*args)
+
+    monkeypatch.setattr(mlblue.runner, "combine_samples", counting)
+    cfg = two_output_config()
+    run_estimate(cfg, two_output_allocation(cfg), replications=9, seed=1)
+    assert calls == [1, 2]
 
 
 def test_normalized_error_is_worst_output():
@@ -284,6 +341,16 @@ def test_command_evaluator_couples_group_inputs(tmp_path):
         assert a["input"] == b["input"]  # same draw for the whole group
     inputs = {tuple(r["input"]) for r in reqs}
     assert len(inputs) == 5  # distinct draws across samples
+
+
+def test_ill_posed_allocation_raises_before_any_request(tmp_path):
+    log = tmp_path / "log.jsonl"
+    cfg = command_config(tmp_path, argv_extra=(str(log),))
+    n = np.zeros(cfg.groups.num_groups)
+    n[cfg.groups.index_of((2,))] = 3  # model 1 is never sampled
+    with pytest.raises(IllPosedError):
+        run_estimate(cfg, n, replications=2, seed=0)
+    assert not log.exists() or log.read_text() == ""
 
 
 def test_command_evaluator_failure_names_location(tmp_path):

@@ -114,6 +114,21 @@ def test_restriction_indices_rejects_bad_groups():
         restriction_indices((2, 2), 3)
 
 
+def test_budget_feasibility_per_output():
+    # with {1} denied, output 1 can ride the cheap pair {1,2} but output 2
+    # needs {1,3}, which costs 7
+    models = ModelSet(
+        [2.0, 1.0, 5.0], outputs=[[1, 2], [1], [1, 2]], num_outputs=2
+    )
+    gs = enumerate_groups(models, kappa=2, deny_list=[(1,)])
+    cheapest = {
+        output: float(np.min(gs.group_costs[gs.highfi_mask(output)]))
+        for output in (1, 2)
+    }
+    assert cheapest == {1: 3.0, 2: 7.0}
+    assert [gs.groups[k] for k in np.flatnonzero(gs.highfi_mask(2))] == [(1, 3)]
+
+
 def test_contains_highfi_and_mask():
     models = all_output_modelset([4.0, 2.0, 1.0], num_outputs=1)
     gs = enumerate_groups(models, kappa=2)

@@ -53,6 +53,8 @@ __all__ = [
 _PRUNE_REL = 1e-9
 # tau = 0 would leave pareto mode unbounded; cap the cost instead
 _PARETO_COST_CAP = 1e12
+# integer projection enumerates the roundings of at most this many entries
+_ENUMERATION_CAP = 20
 
 
 def systems_from_store(groups: GroupSet, store: CovarianceStore):
@@ -134,7 +136,6 @@ class Allocation:
     solver_iterations: int = 0
     solver_gap: float = float("nan")
     fallback: bool = False  # integer projection had to use its fallback rule
-    projection_ratio: float = float("nan")  # integer / continuous objective
 
     @property
     def max_variance(self) -> float:
@@ -342,14 +343,12 @@ def _integer_feasible(spec: MosapSpec, n: np.ndarray):
     return True, variances
 
 
-def integer_projection(
-    spec: MosapSpec, allocation: Allocation, enumeration_cap: int = 20
-) -> Allocation:
+def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
     """Round a continuous allocation to integers, preserving feasibility.
 
     Entries within 1e-6 of an integer are snapped. The floor/ceiling
     combinations of the remaining fractional entries are enumerated (up to
-    ``enumeration_cap`` entries; beyond that, the entries whose rounding
+    ``_ENUMERATION_CAP`` entries; beyond that, the entries whose rounding
     matters least by cost-weighted ambiguity are rounded up greedily) and
     the feasible combination with the best mode objective wins. Ties go to
     the cheaper allocation, then to the lexicographically smaller one.
@@ -364,14 +363,14 @@ def integer_projection(
     base = np.where(near, snapped, np.floor(n0))
     frac_idx = np.flatnonzero(~near)
 
-    if frac_idx.size > enumeration_cap:
+    if frac_idx.size > _ENUMERATION_CAP:
         ambiguity = spec.group_costs[frac_idx] * np.minimum(
             n0[frac_idx] - np.floor(n0[frac_idx]),
             np.ceil(n0[frac_idx]) - n0[frac_idx],
         )
         order = np.argsort(-ambiguity, kind="stable")
-        enumerate_idx = np.sort(frac_idx[order[:enumeration_cap]])
-        for k in frac_idx[order[enumeration_cap:]]:
+        enumerate_idx = np.sort(frac_idx[order[:_ENUMERATION_CAP]])
+        for k in frac_idx[order[_ENUMERATION_CAP:]]:
             base[k] = np.ceil(n0[k])
     else:
         enumerate_idx = frac_idx
@@ -409,7 +408,6 @@ def integer_projection(
         if np.all(np.isfinite(variances))
         else float("inf")
     )
-    ratio = obj / allocation.objective_value if allocation.objective_value > 0 else float("nan")
     return replace(
         allocation,
         n=n_int,
@@ -419,7 +417,6 @@ def integer_projection(
         selected_groups=tuple(int(k) for k in np.flatnonzero(n_int > 0)),
         objective_value=obj,
         fallback=fallback,
-        projection_ratio=ratio,
     )
 
 

@@ -85,6 +85,14 @@ def mlmc_variance(level_variances, counts) -> float:
     return out
 
 
+def _correlation_drops(rho):
+    """r2 = rho**2 and its drops delta_k = r2_k - r2_(k+1), delta_0 = 1 - r2_1."""
+    r2 = np.minimum(rho * rho, 1.0)
+    delta = r2 - np.append(r2[1:], 0.0)
+    delta[0] = 1.0 - (r2[1] if r2.size > 1 else 0.0)
+    return r2, delta
+
+
 def mfmc_allocation(variances, correlations, costs, eps2: float):
     """Optimal counts for the correlation-ordered multifidelity estimator.
 
@@ -108,12 +116,9 @@ def mfmc_allocation(variances, correlations, costs, eps2: float):
     if np.any(np.abs(rho) > 1.0 + 1e-12):
         raise ValueError("correlations must lie in [-1, 1]")
 
-    r2 = np.minimum(rho * rho, 1.0)
+    r2, delta = _correlation_drops(rho)
     if np.any(np.diff(r2) > 1e-12):
         return None  # not ordered by decreasing squared correlation
-    r2_next = np.append(r2[1:], 0.0)
-    delta = r2 - r2_next
-    delta[0] = 1.0 - (r2[1] if r2.size > 1 else 0.0)
     if np.any(delta <= 0.0):
         return None  # duplicate correlation levels give no usable ordering
 
@@ -134,11 +139,7 @@ def mfmc_variance(variances, correlations, counts) -> float:
     n = np.asarray(counts, dtype=float)
     if np.any(n <= 0):
         return float("inf")
-    r2 = np.minimum(rho * rho, 1.0)
-    r2_next = np.append(r2[1:], 0.0)
-    delta = r2 - r2_next
-    delta[0] = 1.0 - (r2[1] if r2.size > 1 else 0.0)
-    return float(sig2[0] * np.sum(delta / n))
+    return float(sig2[0] * np.sum(_correlation_drops(rho)[1] / n))
 
 
 def mlmc_levels(subset, costs):

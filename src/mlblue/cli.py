@@ -51,6 +51,12 @@ def _add_common(sub):
                      help="solver relative gap tolerance")
 
 
+def _load(args):
+    """The config, with ``--seed`` in place of its seed when given."""
+    seed = None if args.seed is None else check_seed(args.seed, "--seed")
+    return load_problem(args.config, seed=seed)
+
+
 def _settings(args):
     return SdpSettings(gap_tol=args.gap_tol, feas_tol=args.feastol)
 
@@ -64,7 +70,7 @@ def _solve_project(cfg, args, mode=None, tau_tilde=None):
 
 
 def _cmd_allocate(args):
-    cfg = load_problem(args.config)
+    cfg = _load(args)
     if cfg.mode == "pareto" and cfg.tau_tilde is None:
         raise ConfigError("/mode", "this config sweeps tau; use the pareto subcommand")
     _, alloc = _solve_project(cfg, args)
@@ -81,7 +87,7 @@ def _cmd_allocate(args):
 
 
 def _cmd_pareto(args):
-    cfg = load_problem(args.config)
+    cfg = _load(args)
     if cfg.mode != "pareto":
         raise ConfigError("/mode", "pareto subcommand needs a pareto-mode config")
     sweep = cfg.sweep or _DEFAULT_SWEEP
@@ -101,13 +107,11 @@ def _cmd_pareto(args):
 
 
 def _cmd_estimate(args):
-    if args.seed is not None:
-        check_seed(args.seed, "--seed")
-    cfg = load_problem(args.config)
+    cfg = _load(args)
     if cfg.mode == "pareto" and cfg.tau_tilde is None:
         raise ConfigError("/mode", "estimate needs budget, tolerance, or a fixed tau_tilde")
     _, alloc = _solve_project(cfg, args)
-    report = run_estimate(cfg, alloc, replications=args.reps, seed=args.seed)
+    report = run_estimate(cfg, alloc, replications=args.reps)
     payload = report_to_json(report, allocation_to_json(alloc, cfg.groups))
     if args.output:
         emit_outputs(payload, args.output)
@@ -126,7 +130,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_benchmark(args):
-    cfg = load_problem(args.config)
+    cfg = _load(args)
     if cfg.mode != "tolerance":
         raise ConfigError("/mode", "benchmark compares methods at a tolerance")
     _, alloc = _solve_project(cfg, args)

@@ -98,7 +98,10 @@ def _require_keys(obj, path, required, optional=()):
 def _as_number(value, path, positive=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(path, "is beyond the range of a float") from None
     if not np.isfinite(out):
         raise ConfigError(path, "must be finite")
     if positive and out <= 0:
@@ -106,7 +109,8 @@ def _as_number(value, path, positive=False, integer=False):
     if integer:
         if out != int(out):
             raise ConfigError(path, "expected an integer")
-        return int(out)
+        # an int stays exact: float() rounds integers above 2**53
+        return value if isinstance(value, int) else int(out)
     return out
 
 
@@ -190,14 +194,19 @@ def _parse_synthetic(section, models):
     return suite
 
 
+def _per_output(mats):
+    """Inline matrices as one per output: a bare single matrix gets wrapped."""
+    if mats and isinstance(mats[0], list) and mats[0] and not isinstance(mats[0][0], list):
+        return [mats]
+    return mats
+
+
 def _inline_store(section, models):
     mats = section.get("matrices")
     if not isinstance(mats, list) or not mats:
         raise ConfigError("/covariance/matrices", "expected an array of matrices")
     ell, m = models.num_models, models.num_outputs
-    # one matrix may be given either bare or wrapped in a per-output list
-    if mats and isinstance(mats[0], list) and mats[0] and not isinstance(mats[0][0], list):
-        mats = [mats]
+    mats = _per_output(mats)
     if len(mats) != m:
         raise ConfigError("/covariance/matrices", f"expected {m} matrices (one per output)")
     values = np.zeros((m, ell, ell))
@@ -217,7 +226,7 @@ def _inline_store(section, models):
         if not np.array_equal(known[s], known[s].T):
             raise ConfigError(f"/covariance/matrices/{s}", "null entries must be symmetric")
     try:
-        return CovarianceStore(values, known, provenance="exact")
+        return CovarianceStore(values, known)
     except ValueError as exc:
         raise ConfigError("/covariance/matrices", str(exc)) from exc
 
@@ -390,12 +399,9 @@ def parse_problem(raw: dict) -> ProblemConfig:
 def _canonical_covariance(section):
     out = {"type": section["type"]}
     if section["type"] == "inline":
-        mats = section["matrices"]
-        if mats and isinstance(mats[0], list) and mats[0] and not isinstance(mats[0][0], list):
-            mats = [mats]
         out["matrices"] = [
             [[None if v is None else float(v) for v in row] for row in mat]
-            for mat in mats
+            for mat in _per_output(section["matrices"])
         ]
     elif section["type"] == "pilot":
         out["count"] = int(section["count"])
@@ -423,13 +429,16 @@ def _canonical_synthetic(section, suite):
     return out
 
 
-def load_problem(path) -> ProblemConfig:
-    """Read, validate, and resolve a JSON problem file."""
+def load_problem(path, seed: int | None = None) -> ProblemConfig:
+    """Read, validate, and resolve a JSON problem file; a ``seed`` replaces
+    its ``/seed`` before anything is drawn, pilot samples included."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("", f"invalid JSON: {exc}") from exc
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     return parse_problem(raw)
 
 

@@ -2,8 +2,7 @@
 
 Everything downstream (estimator assembly, allocation SDPs, baselines) reads
 model covariances from a CovarianceStore: per output, a symmetric matrix
-plus a mask saying which entries are actually known and a provenance tag per
-entry. Unknown entries are the single source of truth for which sampling
+plus a mask saying which entries are actually known. Unknown entries are the single source of truth for which sampling
 groups are usable; a group whose pairwise covariance block has holes is
 simply not available to the estimator.
 """
@@ -41,18 +40,15 @@ def _freeze(arr):
 
 @dataclass(frozen=True)
 class CovarianceStore:
-    """Per-output covariance matrices with known-masks and provenance.
+    """Per-output covariance matrices with known-masks.
 
     Immutable after construction; ``with_updates`` returns a new store.
-    ``provenance`` holds one of 'exact', 'pilot', 'extrapolated' per known
-    entry and '' for unknown ones.
     """
 
     matrices: np.ndarray  # (num_outputs, n, n) float
     known: np.ndarray  # (num_outputs, n, n) bool
-    provenance: np.ndarray  # (num_outputs, n, n) str
 
-    def __init__(self, matrices, known=None, provenance="exact"):
+    def __init__(self, matrices, known=None):
         matrices = np.array(matrices, dtype=float)
         if matrices.ndim == 2:
             matrices = matrices[None]
@@ -74,22 +70,9 @@ class CovarianceStore:
                 raise ValueError("known mask shape mismatch")
             if not np.array_equal(known, known.transpose(0, 2, 1)):
                 raise ValueError("known mask must be symmetric")
-        if isinstance(provenance, str):
-            # fixed-width dtype wide enough for every tag, so later updates
-            # writing "extrapolated" into a copy are not truncated
-            tags = np.full((m, n, n), "", dtype="<U12")
-            tags[known] = provenance
-        else:
-            tags = np.array(provenance, dtype="<U12")
-            if tags.ndim == 2:
-                tags = tags[None]
-            if tags.shape != matrices.shape:
-                raise ValueError("provenance shape mismatch")
-        matrices = matrices.copy()
         matrices[~known] = 0.0
         object.__setattr__(self, "matrices", _freeze(matrices))
         object.__setattr__(self, "known", _freeze(known))
-        object.__setattr__(self, "provenance", _freeze(tags))
 
     @property
     def num_outputs(self) -> int:
@@ -102,39 +85,25 @@ class CovarianceStore:
     def matrix(self, output: int = 1) -> np.ndarray:
         return self.matrices[output - 1]
 
-    def known_mask(self, output: int = 1) -> np.ndarray:
-        return self.known[output - 1]
-
-    def tags(self, output: int = 1) -> np.ndarray:
-        return self.provenance[output - 1]
-
     def group_known(self, group, output: int = 1) -> bool:
         """True when every pairwise entry of the group is known."""
         idx = restriction_indices(group, self.num_models)
         return bool(self.known[output - 1][np.ix_(idx, idx)].all())
 
-    def degenerate_models(self, output: int = 1) -> tuple[int, ...]:
-        """1-based ids of models with known but nonpositive variance."""
-        d = np.diag(self.matrices[output - 1])
-        k = np.diag(self.known[output - 1])
-        return tuple(int(i) + 1 for i in np.flatnonzero(k & (d <= 0.0)))
-
     def with_updates(self, output: int, updates) -> "CovarianceStore":
-        """New store with (i, j, value, tag) entries set symmetrically.
+        """New store with (i, j, value) entries set symmetrically.
 
         ``i``/``j`` are 1-based model ids; each update marks the entry (and
-        its mirror) as known with the given provenance tag.
+        its mirror) as known.
         """
         mats = self.matrices.copy()
         known = self.known.copy()
-        tags = self.provenance.copy()
         s = output - 1
-        for i, j, value, tag in updates:
+        for i, j, value in updates:
             a, b = int(i) - 1, int(j) - 1
             mats[s, a, b] = mats[s, b, a] = float(value)
             known[s, a, b] = known[s, b, a] = True
-            tags[s, a, b] = tags[s, b, a] = tag
-        return CovarianceStore(mats, known, tags)
+        return CovarianceStore(mats, known)
 
 
 @dataclass(frozen=True)
@@ -198,7 +167,7 @@ def sample_covariance(batch: PilotBatch) -> CovarianceStore:
         c = 0.5 * (c + c.T)
         mats[s][np.ix_(cols, cols)] = c
         known[s][np.ix_(cols, cols)] = True
-    return CovarianceStore(mats, known, provenance="pilot")
+    return CovarianceStore(mats, known)
 
 
 def spd_repair(matrix, floor: float = 1e-10) -> np.ndarray:

@@ -21,7 +21,6 @@ from .models import GroupSet
 
 __all__ = [
     "BlueSystem",
-    "SpectralPseudoInverse",
     "IllPosedError",
     "assemble_psi",
     "pseudo_inverse",
@@ -145,40 +144,9 @@ def _weighted_sum(stack, weights) -> np.ndarray:
     return (weights[:, None, None] * stack).sum(axis=0)
 
 
-@dataclass(frozen=True)
-class SpectralPseudoInverse:
-    """Eigendecomposition-backed pseudo-inverse of a symmetric PSD matrix."""
-
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray
-    cutoff: float
-
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues > self.cutoff))
-
-    def as_matrix(self) -> np.ndarray:
-        keep = self.eigenvalues > self.cutoff
-        if not np.any(keep):
-            return np.zeros_like(self.eigenvectors)
-        u = self.eigenvectors[:, keep]
-        out = (u / self.eigenvalues[keep]) @ u.T
-        return 0.5 * (out + out.T)
-
-    def range_residual(self, vec) -> float:
-        """Norm of the component of vec outside the matrix's column space."""
-        keep = self.eigenvalues > self.cutoff
-        u = self.eigenvectors[:, keep]
-        return float(np.linalg.norm(vec - u @ (u.T @ vec)))
-
-
-def pseudo_inverse(matrix, rtol: float = 1e-12) -> SpectralPseudoInverse:
-    """Spectral pseudo-inverse with a relative eigenvalue cutoff.
-
-    Eigenvalues at or below rtol * max eigenvalue count as zero. Small
-    negative eigenvalues within the cutoff are tolerated; anything more
-    negative means the input is not PSD and raises.
-    """
+def _pinv_with_range(matrix, rtol):
+    """(pseudo-inverse, orthonormal basis of the column space) of a symmetric
+    PSD matrix, both from the eigenpairs above the cutoff."""
     matrix = np.asarray(matrix, dtype=float)
     scale = np.abs(matrix).max(initial=0.0)
     if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12 * max(scale, 1.0):
@@ -187,7 +155,21 @@ def pseudo_inverse(matrix, rtol: float = 1e-12) -> SpectralPseudoInverse:
     cutoff = rtol * max(eigvals[-1], 0.0)
     if eigvals[0] < -max(cutoff, rtol):
         raise ValueError("matrix is not positive semidefinite")
-    return SpectralPseudoInverse(eigvals, eigvecs, cutoff)
+    keep = eigvals > cutoff
+    u = eigvecs[:, keep]
+    # with no eigenvalue kept u has no columns and this is the zero matrix
+    out = (u / eigvals[keep]) @ u.T
+    return 0.5 * (out + out.T), u
+
+
+def pseudo_inverse(matrix, rtol: float = 1e-12) -> np.ndarray:
+    """Spectral pseudo-inverse with a relative eigenvalue cutoff.
+
+    Eigenvalues at or below rtol * max eigenvalue count as zero. Small
+    negative eigenvalues within the cutoff are tolerated; anything more
+    negative means the input is not PSD and raises.
+    """
+    return _pinv_with_range(matrix, rtol)[0]
 
 
 def _information_pinv(system: BlueSystem, n) -> np.ndarray:
@@ -197,14 +179,15 @@ def _information_pinv(system: BlueSystem, n) -> np.ndarray:
     information matrix's column space, i.e. the estimator does not exist
     for this allocation (as opposed to merely having large variance).
     """
-    pinv = pseudo_inverse(assemble_psi(system, n))
+    pinv, u = _pinv_with_range(assemble_psi(system, n), 1e-12)
     e1 = np.zeros(system.num_models)
     e1[0] = 1.0
-    if pinv.range_residual(e1) > _WELLPOSED_TOL:
+    # u.T @ e1 is row 0 of u, so this is e1 minus its projection on the range
+    if np.linalg.norm(e1 - u @ u[0]) > _WELLPOSED_TOL:
         raise IllPosedError(
             "estimator is ill-posed: no sampled group identifies model 1"
         )
-    return pinv.as_matrix()
+    return pinv
 
 
 def blue_variance(system: BlueSystem, n) -> float:

@@ -79,11 +79,6 @@ class ModelSet:
     def num_outputs(self) -> int:
         return self.produces.shape[1]
 
-    def models_for_output(self, output: int) -> tuple[int, ...]:
-        """1-based ids of the models producing the given 1-based output."""
-        col = self.produces[:, output - 1]
-        return tuple(int(i) + 1 for i in np.flatnonzero(col))
-
 
 @dataclass(frozen=True)
 class GroupSet:

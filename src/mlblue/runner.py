@@ -34,7 +34,6 @@ __all__ = [
     "spec_from_config",
     "run_estimate",
     "allocation_to_json",
-    "allocation_from_json",
     "baseline_to_json",
     "report_to_json",
     "frontier_to_csv",
@@ -252,28 +251,6 @@ def allocation_to_json(alloc: Allocation, groups: GroupSet) -> dict:
     }
 
 
-def allocation_from_json(data: dict, groups: GroupSet) -> Allocation:
-    """Rebuild an Allocation from its wire format (solver fields kept)."""
-    n = np.zeros(groups.num_groups)
-    for ids, count in zip(data["groups"], data["n"]):
-        n[groups.index_of(tuple(ids))] = count
-    n.setflags(write=False)
-    gap = data["solver"].get("gap")
-    return Allocation(
-        mode=data["mode"],
-        n=n,
-        per_output_variance=np.array(data["per_output_variance"]),
-        total_cost=float(data["total_cost"]),
-        is_integer=bool(np.all(np.rint(n) == n)),
-        selected_groups=tuple(
-            int(groups.index_of(tuple(ids))) for ids in data["groups"]
-        ),
-        objective_value=float("nan"),
-        solver_iterations=int(data["solver"]["iterations"]),
-        solver_gap=float("nan") if gap is None else float(gap),
-    )
-
-
 def baseline_to_json(baseline: BaselineAllocation, models) -> dict:
     """Baseline allocation in the same wire shape, plus a method tag.
 
@@ -356,20 +333,14 @@ def _frontier_point_json(p):
     }
 
 
-def emit_outputs(obj, path, format: str = "json", groups: GroupSet | None = None):
-    """Write an allocation, report, frontier, or plain dict to disk.
+def emit_outputs(obj, path, format: str = "json"):
+    """Write a frontier (the list of sweep records) or a JSON payload to disk.
 
-    Frontiers accept 'json' or 'csv'; everything else is JSON only.
+    Frontiers accept 'json' or 'csv'; a payload is JSON only.
     """
     if format not in ("json", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    if isinstance(obj, Allocation):
-        if groups is None:
-            raise ValueError("allocation emission needs the group set")
-        payload = allocation_to_json(obj, groups)
-    elif isinstance(obj, EstimateReport):
-        payload = report_to_json(obj)
-    elif isinstance(obj, list):
+    if isinstance(obj, list):
         if format == "csv":
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(frontier_to_csv(obj))

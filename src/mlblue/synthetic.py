@@ -81,7 +81,7 @@ class SyntheticSuite:
         mats = np.stack(
             [self.covariance(s) for s in range(1, self.num_outputs + 1)]
         )
-        return CovarianceStore(mats, provenance="synthetic")
+        return CovarianceStore(mats)
 
     def evaluate(self, model_ids, z) -> np.ndarray:
         """Deterministic evaluation of the listed models at factor values z.
@@ -112,12 +112,9 @@ class SyntheticSuite:
         if count < 0:
             raise ValueError("count must be >= 0")
         group = tuple(sorted(group))
-        z = self._factor_draws(count, seed, group_index, replication)
+        z = self.factor_draws(count, self.num_factors, seed, group_index,
+                              replication)
         return self.evaluate(group, z)
-
-    def _factor_draws(self, count, seed, group_index, replication):
-        return self.factor_draws(count, self.num_factors, seed, group_index,
-                                 replication)
 
     @staticmethod
     def factor_draws(count, dim, seed, stream_index, replication=0):

@@ -221,7 +221,7 @@ def test_criterion_02_null_space_characterization():
         # unsampled models give exactly zero rows of Psi, and of its
         # pseudo-inverse up to eigensolver roundoff
         ok = ok and all(not psi[i].any() for i in unsampled)
-        dagger = pseudo_inverse(psi).as_matrix()
+        dagger = pseudo_inverse(psi)
         scale = np.abs(dagger).max()
         ok = ok and all(
             np.abs(dagger[i]).max() <= 1e-12 * scale for i in unsampled
@@ -439,14 +439,14 @@ def _c7_extrapolated_store(pilot_store, rate, d_bar):
     seq = np.array([var[3], var[4]])
     v2, v1 = richardson_extrapolate(seq, rate, num_finer=2)
     est = {1: v1, 2: v2, **var}
-    updates = [(1, 1, v1, "extrapolated"), (2, 2, v2, "extrapolated")]
+    updates = [(1, 1, v1), (2, 2, v2)]
     for i in (1, 2):
         for j in range(1, d_bar + 1):
             other = i + j
             seq = np.array([diff_var(3, 3 + j), diff_var(4, 4 + j)])
             dv = richardson_extrapolate(seq, rate, num_finer=3 - i)[-1]
             cov, _ = reconstruct_highfi_covariance(est[i], est[other], dv)
-            updates.append((i, other, cov, "extrapolated"))
+            updates.append((i, other, cov))
     return pilot_store.with_updates(1, updates)
 
 
@@ -487,8 +487,7 @@ def test_criterion_07_capped_sampling_with_extrapolation():
                                  systems=(system,), budget=budget,
                                  extra_linear=cap_rows)
                 proj = integer_projection(
-                    spec, tracked(spec, label=f"c7-n{n_hf}-d{d_bar}"),
-                    enumeration_cap=12)
+                    spec, tracked(spec, label=f"c7-n{n_hf}-d{d_bar}"))
                 for i in (1, 2):
                     used = sum(
                         proj.n[k] for k, g in enumerate(groups.groups)

@@ -139,6 +139,28 @@ def test_estimate_seed_out_of_range_exits_2(tmp_path, capsys, seed):
     assert f"--seed: seed {seed} is outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["allocate", "estimate"])
+def test_seed_flag_is_the_config_seed(tmp_path, capsys, command):
+    # the seed drives the pilot draws, so it moves the allocation too
+    pilot = {"type": "pilot", "count": 10}
+
+    def run(*extra, seed=1):
+        path = budget_config(tmp_path, covariance=pilot, seed=seed)
+        assert main([command, "--config", path, *extra]) == 0
+        return capsys.readouterr()
+
+    flagged = run("--seed", "2")
+    assert flagged == run(seed=2)
+    assert flagged != run("--seed", "1")
+
+
+@pytest.mark.parametrize("key", ["seed", "replications"])
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, key):
+    path = budget_config(tmp_path, **{key: 10 ** 399})
+    assert main(["allocate", "--config", path]) == 2
+    assert f"config error: /{key}:" in capsys.readouterr().err
+
+
 def test_estimate_evaluator_failure_exits_4(tmp_path, capsys):
     script = tmp_path / "dies.py"
     script.write_text("import sys\nsys.exit(5)\n")

@@ -209,7 +209,6 @@ def test_pilot_covariance_is_deterministic():
     a = parse_problem(raw)
     b = parse_problem(raw)
     assert np.array_equal(a.store.matrices, b.store.matrices)
-    assert a.store.tags(1)[0, 0] == "pilot"
     # pilot draws live on their own stream, disjoint from estimation draws
     c = parse_problem({**raw, "seed": 4})
     assert not np.array_equal(a.store.matrices, c.store.matrices)
@@ -248,10 +247,25 @@ def test_config_error_carries_path():
     with pytest.raises(ConfigError) as info:
         parse_problem({"models": {"costs": [1.0]}})
     assert info.value.path == "/"
-    # 2**64 - 1 reads through float as 2**64, one past the Philox key range
-    for seed in (-1, 2 ** 64 - 1):
+    for seed in (-1, 2 ** 64, 10 ** 399):
         raw = minimal()
         raw["seed"] = seed
         with pytest.raises(ConfigError) as info:
             parse_problem(raw)
         assert info.value.path == "/seed"
+    # the largest Philox key word is read exactly, not rounded up to 2**64
+    assert parse_problem({**minimal(), "seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+
+
+def test_integer_fields_read_exactly():
+    raw = synthetic_two_model()
+    raw["covariance"] = {"type": "pilot", "count": 16}
+    a = parse_problem({**raw, "seed": 2 ** 53})
+    b = parse_problem({**raw, "seed": 2 ** 53 + 1})
+    assert (a.seed, b.seed) == (2 ** 53, 2 ** 53 + 1)
+    assert b.canonical["seed"] == 2 ** 53 + 1
+    # distinct seeds draw distinct pilot samples
+    assert not np.array_equal(a.store.matrices, b.store.matrices)
+    with pytest.raises(ConfigError) as info:
+        parse_problem({**raw, "replications": 10 ** 399})
+    assert info.value.path == "/replications"

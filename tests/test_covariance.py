@@ -25,13 +25,12 @@ def _pilot(samples):
 def test_two_point_sample_variance():
     store = sample_covariance(_pilot([[1.0], [3.0]]))
     assert store.matrix(1)[0, 0] == pytest.approx(2.0)
-    assert store.tags(1)[0, 0] == "pilot"
 
 
 def test_constant_column_flagged_degenerate():
     store = sample_covariance(_pilot([[5.0], [5.0], [5.0]]))
     assert store.matrix(1)[0, 0] == 0.0
-    assert store.degenerate_models(1) == (1,)
+    assert store.known[0, 0, 0]  # known, but with zero variance
 
 
 def test_sample_covariance_converges_at_root_n():
@@ -71,9 +70,9 @@ def test_sample_covariance_respects_availability():
     vals[1, :, :2] = np.random.default_rng(2).standard_normal((5, 2))
     avail = np.array([[True, True, True], [True, True, False]])
     store = sample_covariance(PilotBatch(vals, available=avail))
-    assert store.known_mask(1).all()
-    assert store.known_mask(2)[:2, :2].all()
-    assert not store.known_mask(2)[2].any()
+    assert store.known[0].all()
+    assert store.known[1][:2, :2].all()
+    assert not store.known[1][2].any()
 
 
 def test_sample_covariance_rejects_bad_input():
@@ -146,7 +145,7 @@ def test_extract_unknown_entry_raises():
     assert store.group_known((1, 2)) and not store.group_known((1, 3))
 
 
-def test_store_rejects_asymmetric_known_mask():
+def test_store_rejects_asymmetric_known_entries():
     known = np.ones((2, 2), dtype=bool)
     known[0, 1] = False
     with pytest.raises(ValueError, match="known mask must be symmetric"):
@@ -155,11 +154,10 @@ def test_store_rejects_asymmetric_known_mask():
 
 def test_with_updates_sets_symmetric_entries():
     store = CovarianceStore(np.eye(2)[None], known=np.zeros((1, 2, 2), bool))
-    upd = store.with_updates(1, [(1, 1, 4.0, "pilot"), (1, 2, 1.5, "extrapolated")])
+    upd = store.with_updates(1, [(1, 1, 4.0), (1, 2, 1.5)])
     assert upd.matrix(1)[0, 1] == upd.matrix(1)[1, 0] == 1.5
-    assert upd.known_mask(1)[0, 1] and upd.known_mask(1)[1, 0]
-    assert upd.tags(1)[0, 1] == "extrapolated"
-    assert not store.known_mask(1).any()  # original untouched
+    assert upd.known[0][0, 1] and upd.known[0][1, 0]
+    assert not store.known[0].any()  # original untouched
 
 
 def test_richardson_exact_power_law():

@@ -75,13 +75,11 @@ def test_model_without_outputs_rejected():
         ModelSet([2.0, 1.0], outputs=[[1], [1, 2]], num_outputs=2)
 
 
-def test_produces_and_models_for_output():
+def test_produces():
     models = ModelSet(
         [8.0, 4.0, 2.0], outputs=[[1, 2], [1], [2]], num_outputs=2
     )
     assert models.produces.tolist() == [[True, True], [True, False], [False, True]]
-    assert models.models_for_output(1) == (1, 2)
-    assert models.models_for_output(2) == (1, 3)
 
 
 def test_per_output_allowed_respects_subset_rule():

@@ -12,7 +12,6 @@ from mlblue.config import parse_problem
 from mlblue.estimator import IllPosedError, normalized_error
 from mlblue.runner import (
     EvaluatorError,
-    allocation_from_json,
     allocation_to_json,
     baseline_to_json,
     emit_outputs,
@@ -180,10 +179,6 @@ def test_allocation_json_roundtrip():
     assert data["mode"] == "budget"
     assert all(isinstance(v, int) for v in data["n"])
     assert data["total_cost"] == pytest.approx(alloc.total_cost)
-    back = allocation_from_json(data, cfg.groups)
-    assert np.array_equal(back.n, alloc.n)
-    assert back.solver_iterations == alloc.solver_iterations
-    assert back.selected_groups == alloc.selected_groups
 
 
 def test_baseline_json_mlmc_levels_are_groups():
@@ -252,19 +247,24 @@ def test_emit_outputs_dispatch(tmp_path):
     cfg = two_model_config()
     spec, alloc = integer_allocation(cfg)
     p = tmp_path / "alloc.json"
-    emit_outputs(alloc, p, groups=cfg.groups)
+    emit_outputs(allocation_to_json(alloc, cfg.groups), p)
     assert json.loads(p.read_text())["mode"] == "budget"
-    with pytest.raises(ValueError, match="group set"):
-        emit_outputs(alloc, p)
     report = run_estimate(cfg, alloc, replications=3, seed=0)
     p2 = tmp_path / "report.json"
-    emit_outputs(report, p2)
+    emit_outputs(report_to_json(report), p2)
     data = json.loads(p2.read_text())
     assert data["replications"] == 3
     with pytest.raises(ValueError, match="csv"):
-        emit_outputs(report, p2, format="csv")
+        emit_outputs(report_to_json(report), p2, format="csv")
     with pytest.raises(ValueError, match="format"):
-        emit_outputs(report, p2, format="yaml")
+        emit_outputs(report_to_json(report), p2, format="yaml")
+    with pytest.raises(TypeError, match="EstimateReport"):
+        emit_outputs(report, p2)
+    frontier = [{"tau_tilde": 1.0, "cost": 3.0, "variance": 0.5,
+                 "normalized_error": 0.25, "status": "optimal"}]
+    p3 = tmp_path / "frontier.csv"
+    emit_outputs(frontier, p3, format="csv")
+    assert p3.read_text() == frontier_to_csv(frontier)
 
 
 def test_report_json_embeds_allocation():

@@ -9,7 +9,8 @@ PYTHONPATH, in a directory of its own with the same relative file names, so
 the two runs see identical arguments. One line per operation reports whether
 the ``--output`` file, stdout and stderr are byte-identical, both exit codes,
 and the largest relative difference among the numeric fields of the two
-JSON outputs, with the field's path.
+JSON outputs, with the field's path. A last line gives the line count of
+``src/mlblue/*.py`` in both trees, as ``wc -l`` counts it.
 
 Exit status 0 when every operation has equal exit codes and console text,
 every ``allocate``, ``benchmark`` and ``pareto`` output is byte-identical, and
@@ -79,6 +80,12 @@ def run_tree(tree, argv, config, workdir):
         out.read_bytes() if out.exists() else None)
 
 
+def source_lines(tree):
+    """Newline count of the program's modules, ``src/mlblue/*.py``."""
+    modules = (Path(tree) / "src" / "mlblue").glob("*.py")
+    return sum(p.read_bytes().count(b"\n") for p in modules)
+
+
 def compare(parent, change):
     ok = True
     with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
@@ -113,7 +120,10 @@ def compare(parent, change):
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
-    return 0 if compare(*argv) else 1
+    ok = compare(*argv)
+    print("src/mlblue/*.py lines: " + " -> ".join(
+        str(source_lines(tree)) for tree in argv))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Everything downstream (estimator assembly, allocation SDPs, baselines) reads
 model covariances from a CovarianceStore: per output, a symmetric matrix
-plus a mask saying which entries are actually known. Unknown entries are the single source of truth for which sampling
-groups are usable; a group whose pairwise covariance block has holes is
-simply not available to the estimator.
+plus a mask saying which entries are actually known. Unknown entries are
+the single source of truth for which sampling groups are usable; a group
+whose pairwise covariance block has holes is simply not available to the
+estimator.
 """
 
 from __future__ import annotations

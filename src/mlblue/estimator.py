@@ -33,6 +33,8 @@ __all__ = [
 
 # column-space membership tolerance for the identifiability check
 _WELLPOSED_TOL = 1e-8
+# eigenvalues at or below this fraction of the largest count as zero
+_PINV_RTOL = 1e-12
 
 
 class IllPosedError(RuntimeError):
@@ -144,7 +146,7 @@ def _weighted_sum(stack, weights) -> np.ndarray:
     return (weights[:, None, None] * stack).sum(axis=0)
 
 
-def _pinv_with_range(matrix, rtol):
+def _pinv_with_range(matrix):
     """(pseudo-inverse, orthonormal basis of the column space) of a symmetric
     PSD matrix, both from the eigenpairs above the cutoff."""
     matrix = np.asarray(matrix, dtype=float)
@@ -152,8 +154,8 @@ def _pinv_with_range(matrix, rtol):
     if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix must be symmetric")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    cutoff = rtol * max(eigvals[-1], 0.0)
-    if eigvals[0] < -max(cutoff, rtol):
+    cutoff = _PINV_RTOL * max(eigvals[-1], 0.0)
+    if eigvals[0] < -max(cutoff, _PINV_RTOL):
         raise ValueError("matrix is not positive semidefinite")
     keep = eigvals > cutoff
     u = eigvecs[:, keep]
@@ -162,14 +164,14 @@ def _pinv_with_range(matrix, rtol):
     return 0.5 * (out + out.T), u
 
 
-def pseudo_inverse(matrix, rtol: float = 1e-12) -> np.ndarray:
+def pseudo_inverse(matrix) -> np.ndarray:
     """Spectral pseudo-inverse with a relative eigenvalue cutoff.
 
-    Eigenvalues at or below rtol * max eigenvalue count as zero. Small
+    Eigenvalues at or below _PINV_RTOL * max eigenvalue count as zero. Small
     negative eigenvalues within the cutoff are tolerated; anything more
     negative means the input is not PSD and raises.
     """
-    return _pinv_with_range(matrix, rtol)[0]
+    return _pinv_with_range(matrix)[0]
 
 
 def _information_pinv(system: BlueSystem, n) -> np.ndarray:
@@ -179,7 +181,7 @@ def _information_pinv(system: BlueSystem, n) -> np.ndarray:
     information matrix's column space, i.e. the estimator does not exist
     for this allocation (as opposed to merely having large variance).
     """
-    pinv, u = _pinv_with_range(assemble_psi(system, n), 1e-12)
+    pinv, u = _pinv_with_range(assemble_psi(system, n))
     e1 = np.zeros(system.num_models)
     e1[0] = 1.0
     # u.T @ e1 is row 0 of u, so this is e1 minus its projection on the range

@@ -172,8 +172,8 @@ def _integer_counts(n, num_groups):
     return counts
 
 
-def run_estimate(config: ProblemConfig, allocation, replications=None,
-                 seed=None) -> EstimateReport:
+def run_estimate(config: ProblemConfig, allocation,
+                 replications=None) -> EstimateReport:
     """Execute the estimator: draw group samples, combine, replicate.
 
     ``allocation`` is an Allocation or a plain per-group count vector.
@@ -184,7 +184,6 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
     n = allocation.n if isinstance(allocation, Allocation) else allocation
     counts = _integer_counts(n, config.groups.num_groups)
     reps = int(config.replications if replications is None else replications)
-    the_seed = int(config.seed if seed is None else seed)
     if reps < 1:
         raise ValueError("replications must be >= 1")
 
@@ -205,8 +204,9 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
     try:
         for r in range(reps):
             for k, buffer in sums.items():
-                buffer[r] = draw_group(config.groups.groups[k], int(counts[k]),
-                                       the_seed, k, replication=r).sum(axis=0)
+                draws = draw_group(config.groups.groups[k], int(counts[k]),
+                                   config.seed, k, replication=r)
+                buffer[r] = draws.sum(axis=0)
     finally:
         if evaluator is not None:
             evaluator.close()
@@ -226,7 +226,7 @@ def run_estimate(config: ProblemConfig, allocation, replications=None,
         total_cost=float(counts @ config.groups.group_costs),
         allocation=counts,
         replications=reps,
-        seed=the_seed,
+        seed=config.seed,
     )
 
 

@@ -328,13 +328,14 @@ def test_criterion_05_estimator_statistics():
         },
         "covariance": {"type": "synthetic"},
         "mode": {"type": "budget", "budget": 180.0},
+        "seed": 55,
     }
     cfg = parse_problem(raw)
     spec = spec_from_config(cfg)
     alloc = tracked(spec, label="c5")
     proj = integer_projection(spec, alloc)
     t0 = time.perf_counter()
-    rep = run_estimate(cfg, proj, replications=10_000, seed=55)
+    rep = run_estimate(cfg, proj, replications=10_000)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
     worst_bias = worst_var = 0.0

@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_zero_variance_suite_recovers_offset_exactly():
     n = np.zeros(cfg.groups.num_groups)
     n[cfg.groups.index_of((1,))] = 3
     n[cfg.groups.index_of((1, 2))] = 2
-    report = run_estimate(cfg, n, replications=5, seed=1)
+    report = run_estimate(replace(cfg, seed=1), n, replications=5)
     assert report.estimates == pytest.approx(np.full((5, 1), 3.25), abs=1e-9)
     assert report.empirical_variance[0] <= 1e-20
 
@@ -55,7 +56,7 @@ def test_zero_variance_suite_recovers_offset_exactly():
 def test_empirical_variance_calibrated():
     cfg = two_model_config()
     spec, alloc = integer_allocation(cfg)
-    report = run_estimate(cfg, alloc, replications=10_000, seed=2)
+    report = run_estimate(replace(cfg, seed=2), alloc, replications=10_000)
     assert report.empirical_variance[0] == pytest.approx(
         report.predicted_variance[0], rel=0.1
     )
@@ -69,24 +70,24 @@ def test_cost_accounting_exact():
     n[cfg.groups.index_of((1,))] = 7
     n[cfg.groups.index_of((2,))] = 11
     n[cfg.groups.index_of((1, 2))] = 2
-    report = run_estimate(cfg, n, replications=2, seed=0)
+    report = run_estimate(cfg, n, replications=2)
     assert report.total_cost == 7 * 2.0 + 11 * 0.5 + 2 * 2.5
 
 
 def test_reports_are_bit_identical():
     cfg = two_model_config()
     _, alloc = integer_allocation(cfg)
-    a = run_estimate(cfg, alloc, replications=50, seed=9)
-    b = run_estimate(cfg, alloc, replications=50, seed=9)
+    a = run_estimate(replace(cfg, seed=9), alloc, replications=50)
+    b = run_estimate(replace(cfg, seed=9), alloc, replications=50)
     assert np.array_equal(a.estimates, b.estimates)
-    c = run_estimate(cfg, alloc, replications=50, seed=10)
+    c = run_estimate(replace(cfg, seed=10), alloc, replications=50)
     assert not np.array_equal(a.estimates, c.estimates)
 
 
 def test_replications_use_disjoint_streams():
     cfg = two_model_config()
     _, alloc = integer_allocation(cfg)
-    r = run_estimate(cfg, alloc, replications=40, seed=3)
+    r = run_estimate(replace(cfg, seed=3), alloc, replications=40)
     assert np.unique(r.estimates[:, 0]).size == 40
 
 
@@ -112,7 +113,7 @@ def test_estimates_match_dense_per_replication_reference():
     cfg = two_output_config()
     n = two_output_allocation(cfg)
     reps, seed = 7, 21
-    report = run_estimate(cfg, n, replications=reps, seed=seed)
+    report = run_estimate(replace(cfg, seed=seed), n, replications=reps)
     sampled = np.flatnonzero(n)
     want = np.empty((reps, 2))
     for r in range(reps):
@@ -143,7 +144,7 @@ def test_combine_runs_once_per_output(monkeypatch):
 
     monkeypatch.setattr(mlblue.runner, "combine_samples", counting)
     cfg = two_output_config()
-    run_estimate(cfg, two_output_allocation(cfg), replications=9, seed=1)
+    run_estimate(replace(cfg, seed=1), two_output_allocation(cfg), replications=9)
     assert calls == [1, 2]
 
 
@@ -249,7 +250,7 @@ def test_emit_outputs_dispatch(tmp_path):
     p = tmp_path / "alloc.json"
     emit_outputs(allocation_to_json(alloc, cfg.groups), p)
     assert json.loads(p.read_text())["mode"] == "budget"
-    report = run_estimate(cfg, alloc, replications=3, seed=0)
+    report = run_estimate(cfg, alloc, replications=3)
     p2 = tmp_path / "report.json"
     emit_outputs(report_to_json(report), p2)
     data = json.loads(p2.read_text())
@@ -270,7 +271,7 @@ def test_emit_outputs_dispatch(tmp_path):
 def test_report_json_embeds_allocation():
     cfg = two_model_config()
     spec, alloc = integer_allocation(cfg)
-    rep = run_estimate(cfg, alloc, replications=2, seed=0)
+    rep = run_estimate(cfg, alloc, replications=2)
     data = report_to_json(rep, allocation_to_json(alloc, cfg.groups))
     assert data["allocation"]["mode"] == "budget"
     assert data["empirical_variance"] is not None
@@ -321,8 +322,8 @@ def test_command_evaluator_matches_synthetic_path(tmp_path):
     n = np.zeros(cfg_cmd.groups.num_groups)
     n[cfg_cmd.groups.index_of((1,))] = 3
     n[cfg_cmd.groups.index_of((1, 2))] = 4
-    a = run_estimate(cfg_cmd, n, replications=6, seed=12)
-    b = run_estimate(cfg_syn, n, replications=6, seed=12)
+    a = run_estimate(replace(cfg_cmd, seed=12), n, replications=6)
+    b = run_estimate(replace(cfg_syn, seed=12), n, replications=6)
     assert np.allclose(a.estimates, b.estimates, rtol=1e-12, atol=1e-12)
 
 
@@ -332,7 +333,7 @@ def test_command_evaluator_couples_group_inputs(tmp_path):
     n = np.zeros(cfg.groups.num_groups)
     k12 = cfg.groups.index_of((1, 2))
     n[k12] = 5
-    run_estimate(cfg, n, replications=1, seed=6)
+    run_estimate(replace(cfg, seed=6), n, replications=1)
     reqs = [json.loads(ln) for ln in log.read_text().splitlines()]
     assert len(reqs) == 10  # 5 samples x 2 models
     for j in range(5):
@@ -349,7 +350,7 @@ def test_ill_posed_allocation_raises_before_any_request(tmp_path):
     n = np.zeros(cfg.groups.num_groups)
     n[cfg.groups.index_of((2,))] = 3  # model 1 is never sampled
     with pytest.raises(IllPosedError):
-        run_estimate(cfg, n, replications=2, seed=0)
+        run_estimate(cfg, n, replications=2)
     assert not log.exists() or log.read_text() == ""
 
 
@@ -359,7 +360,7 @@ def test_command_evaluator_failure_names_location(tmp_path):
     n = np.zeros(cfg.groups.num_groups)
     n[cfg.groups.index_of((1,))] = 2
     with pytest.raises(EvaluatorError, match=r"group 0 \(replication 0\)"):
-        run_estimate(cfg, n, replications=1, seed=0)
+        run_estimate(cfg, n, replications=1)
 
 
 def test_command_evaluator_bad_response(tmp_path):
@@ -368,7 +369,7 @@ def test_command_evaluator_bad_response(tmp_path):
     n = np.zeros(cfg.groups.num_groups)
     n[cfg.groups.index_of((1,))] = 1
     with pytest.raises(EvaluatorError, match="bad evaluator response"):
-        run_estimate(cfg, n, replications=1, seed=0)
+        run_estimate(cfg, n, replications=1)
 
 
 def test_command_evaluator_lingering_after_input_is_killed(tmp_path, monkeypatch):
@@ -380,8 +381,8 @@ def test_command_evaluator_lingering_after_input_is_killed(tmp_path, monkeypatch
     cfg_fast = command_config(tmp_path / "prompt")
     n = np.zeros(cfg_slow.groups.num_groups)
     n[cfg_slow.groups.index_of((1, 2))] = 3
-    a = run_estimate(cfg_slow, n, replications=2, seed=5)
-    b = run_estimate(cfg_fast, n, replications=2, seed=5)
+    a = run_estimate(replace(cfg_slow, seed=5), n, replications=2)
+    b = run_estimate(replace(cfg_fast, seed=5), n, replications=2)
     assert np.array_equal(a.estimates, b.estimates)
 
 
@@ -394,7 +395,7 @@ def test_missing_command_rejected():
                       "input_dim": 1},
     })
     with pytest.raises(EvaluatorError, match="cannot start"):
-        run_estimate(cfg, np.array([2.0]), replications=1, seed=0)
+        run_estimate(cfg, np.array([2.0]), replications=1)
 
 
 def test_fractional_allocation_rejected():
@@ -410,4 +411,4 @@ def test_command_evaluator_non_finite_response(tmp_path):
     n = np.zeros(cfg.groups.num_groups)
     n[cfg.groups.index_of((1,))] = 1
     with pytest.raises(EvaluatorError, match="bad evaluator response at group 0"):
-        run_estimate(cfg, n, replications=1, seed=0)
+        run_estimate(cfg, n, replications=1)

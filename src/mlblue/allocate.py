@@ -23,8 +23,8 @@ exact reparameterizations and are undone on the way out.
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +33,7 @@ from .covariance import CovarianceStore
 from .estimator import (
     BlueSystem,
     IllPosedError,
+    _batch_variance,
     _weighted_sum,
     blue_variance,
     normalized_error,
@@ -55,6 +56,13 @@ _PRUNE_REL = 1e-9
 _PARETO_COST_CAP = 1e12
 # integer projection enumerates the roundings of at most this many entries
 _ENUMERATION_CAP = 20
+# projection candidates scored per batch: the per-batch stacks stay near
+# 100 kB, and the Python work per batch is small next to the batched eigh
+_PROJECTION_CHUNK = 100
+# bound on the relative difference between a batched and a scalar
+# evaluation of one candidate (summation order, eigh backward error); the
+# differences seen on the benchmark instances are under 1/1000 of it
+_BATCH_REL = 1e-12
 
 
 def systems_from_store(groups: GroupSet, store: CovarianceStore):
@@ -343,15 +351,84 @@ def _integer_feasible(spec: MosapSpec, n: np.ndarray):
     return True, variances
 
 
+class _BatchScorer:
+    """Lower bounds on the projection objective for batches of candidates.
+
+    A candidate is ``base`` plus a 0/1 row of ``bits`` on the entries
+    ``idx``, so every linear quantity and every Ψ is the base value plus
+    ``bits`` times the per-entry increments.
+    """
+
+    def __init__(self, spec: MosapSpec, base: np.ndarray, idx: np.ndarray):
+        self.spec = spec
+        # linear rows a'n <= bound that _integer_feasible checks, the anchor
+        # sums negated; the cost row goes last
+        rows = [-system.anchor_mask.astype(float) for system in spec.systems]
+        bounds = [-(1.0 - 1e-9)] * len(rows)
+        for coeffs, bound in spec.extra_linear:
+            rows.append(coeffs)
+            bounds.append(bound * (1.0 + 1e-12) + 1e-12)
+        budget = spec.budget if spec.mode == "budget" else np.inf
+        rows.append(spec.group_costs)
+        bounds.append(budget * (1.0 + 1e-12) + 1e-12)
+        rows = np.array(rows)
+        self.bounds = np.array(bounds)
+        self.linear = (rows @ base, rows[:, idx].T)
+        self.linear_abs = (np.abs(rows) @ base, np.abs(rows[:, idx]).T)
+        self.psi = []
+        for system in spec.systems:
+            psi_base = _weighted_sum(system.information, base[system.group_indices])
+            steps = np.zeros((idx.size,) + psi_base.shape)
+            local = np.full(spec.groups.num_groups, -1)
+            local[system.group_indices] = np.arange(system.group_indices.size)
+            hit = local[idx] >= 0
+            steps[hit] = system.information[local[idx[hit]]]
+            self.psi.append((psi_base, steps.reshape(idx.size, psi_base.size)))
+
+    def bounds_of(self, bits: np.ndarray):
+        """(rows of ``bits`` that may be feasible, their objective lower bounds)."""
+        spec = self.spec
+        values = self.linear[0] + bits @ self.linear[1]
+        slack = _BATCH_REL * (self.linear_abs[0] + bits @ self.linear_abs[1])
+        live = np.flatnonzero(~(values - slack > self.bounds).any(axis=1))
+        bits = bits[live]
+        cost_low = values[live, -1] - slack[live, -1]
+        var_low = np.empty((live.size, spec.num_outputs))
+        sure = np.ones(live.size, dtype=bool)
+        for s, (psi_base, steps) in enumerate(self.psi):
+            psi = psi_base + (bits @ steps).reshape((-1,) + psi_base.shape)
+            variance, sensitivity, sure_s = _batch_variance(psi)
+            var_low[:, s] = variance - _BATCH_REL * sensitivity
+            sure &= sure_s
+        if spec.mode == "tolerance":
+            over = sure & (var_low > spec.tolerances * (1.0 + 1e-12)).any(axis=1)
+            return live[~over], cost_low[~over]
+        objective = var_low.max(axis=1)
+        if spec.mode == "pareto":
+            objective = objective + spec.tau * cost_low
+        return live, np.where(sure, objective, -np.inf)
+
+
 def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
     """Round a continuous allocation to integers, preserving feasibility.
 
     Entries within 1e-6 of an integer are snapped. The floor/ceiling
     combinations of the remaining fractional entries are enumerated (up to
     ``_ENUMERATION_CAP`` entries; beyond that, the entries whose rounding
-    matters least by cost-weighted ambiguity are rounded up greedily) and
-    the feasible combination with the best mode objective wins. Ties go to
-    the cheaper allocation, then to the lexicographically smaller one.
+    matters least by cost-weighted ambiguity are rounded up greedily, and a
+    line on stderr says how many) and the feasible combination with the best
+    mode objective wins. Ties go to the cheaper allocation, then to the
+    lexicographically smaller one.
+
+    Candidates are scored in batches of ``_PROJECTION_CHUNK``: Ψ is the
+    base allocation's plus the bits times each fractional entry's block,
+    the linear checks are array products, and one batched eigh gives every
+    variance. The batch only filters: it drops candidates that fail a check
+    or whose objective exceeds the best so far by more than the batch's
+    error bound. Every other candidate is rescored by ``_integer_feasible``
+    (``blue_variance``) before it can become the best, so the result, its
+    variances and the tie-break are those of scoring every candidate with
+    ``blue_variance``.
 
     Fallbacks when no combination is feasible: tolerance mode takes the
     ceiling everywhere; budget mode scales the allocation down onto the
@@ -372,21 +449,36 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
         enumerate_idx = np.sort(frac_idx[order[:_ENUMERATION_CAP]])
         for k in frac_idx[order[_ENUMERATION_CAP:]]:
             base[k] = np.ceil(n0[k])
+        print(
+            f"integer projection: rounded {frac_idx.size - _ENUMERATION_CAP} of "
+            f"{frac_idx.size} fractional entries up before enumerating",
+            file=sys.stderr,
+        )
     else:
         enumerate_idx = frac_idx
 
+    scorer = _BatchScorer(spec, base, enumerate_idx)
+    # candidate i rounds up entry j when bit f - 1 - j of i is set
+    shifts = np.arange(enumerate_idx.size - 1, -1, -1)
+    candidates = 1 << enumerate_idx.size
     best = None
-    for bits in itertools.product((0.0, 1.0), repeat=enumerate_idx.size):
-        cand = base.copy()
-        cand[enumerate_idx] += np.asarray(bits)
-        ok, variances = _integer_feasible(spec, cand)
-        if not ok:
-            continue
-        obj = _objective_of(spec, cand, variances)
-        cost = float(spec.group_costs @ cand)
-        key = (obj, cost, tuple(cand))
-        if best is None or key < best[0]:
-            best = (key, cand, variances)
+    for start in range(0, candidates, _PROJECTION_CHUNK):
+        index = np.arange(start, min(start + _PROJECTION_CHUNK, candidates))
+        bits = ((index[:, None] >> shifts) & 1).astype(float)
+        live, lower = scorer.bounds_of(bits)
+        for i in np.argsort(lower, kind="stable"):
+            if best is not None and lower[i] > best[0][0]:
+                break
+            cand = base.copy()
+            cand[enumerate_idx] += bits[live[i]]
+            ok, variances = _integer_feasible(spec, cand)
+            if not ok:
+                continue
+            obj = _objective_of(spec, cand, variances)
+            cost = float(spec.group_costs @ cand)
+            key = (obj, cost, tuple(cand))
+            if best is None or key < best[0]:
+                best = (key, cand, variances)
 
     fallback = best is None
     if fallback:

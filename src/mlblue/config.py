@@ -250,7 +250,12 @@ def _parse_covariance(section, models, suite, seed):
         if suite is None:
             raise ConfigError("/covariance", "covariance type 'pilot' needs a /synthetic section")
         everyone = tuple(range(1, models.num_models + 1))
-        draws = suite.draw_group(everyone, count, seed, PILOT_STREAM_INDEX)
+        try:
+            draws = suite.draw_group(everyone, count, seed, PILOT_STREAM_INDEX)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(
+                "/covariance/count", f"{count} pilot samples do not fit in memory ({exc})"
+            ) from None
         batch = PilotBatch(draws.transpose(2, 0, 1), available=models.produces.T)
         return sample_covariance(batch)
     raise ConfigError("/covariance/type", "expected 'inline', 'pilot', or 'synthetic'")

@@ -164,6 +164,31 @@ def _pinv_with_range(matrix):
     return 0.5 * (out + out.T), u
 
 
+def _batch_variance(psi):
+    """e1' Psi+ e1 over a (C, L, L) stack, by the rule of ``_information_pinv``.
+
+    Returns (variance, sensitivity, sure). ``sensitivity`` is the first-order
+    change of the variance under a perturbation of Psi whose norm is Psi's
+    largest eigenvalue. ``sure`` is False where a small perturbation could
+    change the rule's decisions: an eigenvalue within a factor 2 of the
+    cutoff, e1 not clearly in the range, or Psi not clearly PSD. Variance and
+    sensitivity mean nothing where not sure.
+    """
+    w, v = np.linalg.eigh(psi)
+    top = np.maximum(w[:, -1], 0.0)
+    cutoff = (_PINV_RTOL * top)[:, None]
+    keep = w > cutoff
+    e1 = v[:, 0, :] ** 2  # squared e1 component of each eigenvector
+    inverse = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    near_cutoff = ((w > 0.5 * cutoff) & (w <= 2.0 * cutoff)).any(axis=1)
+    sure = (
+        (np.sqrt((e1 * ~keep).sum(axis=1)) < 0.5 * _WELLPOSED_TOL)
+        & ~near_cutoff
+        & (w[:, 0] >= -0.5 * np.maximum(cutoff[:, 0], _PINV_RTOL))
+    )
+    return (e1 * inverse).sum(axis=1), top * (e1 * inverse**2).sum(axis=1), sure
+
+
 def pseudo_inverse(matrix) -> np.ndarray:
     """Spectral pseudo-inverse with a relative eigenvalue cutoff.
 

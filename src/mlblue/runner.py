@@ -23,7 +23,7 @@ import numpy as np
 
 from .allocate import Allocation, MosapSpec
 from .baselines import BaselineAllocation
-from .config import ProblemConfig
+from .config import ConfigError, ProblemConfig
 from .estimator import blue_variance, combine_samples
 from .models import GroupSet
 from .synthetic import SyntheticSuite
@@ -192,8 +192,14 @@ def run_estimate(config: ProblemConfig, allocation,
                           for system in config.systems])
     m = config.num_outputs
     # per sampled group: (replications, group size, outputs) sample sums
-    sums = {int(k): np.empty((reps, len(config.groups.groups[k]), m))
-            for k in np.flatnonzero(counts)}
+    try:
+        sums = {int(k): np.empty((reps, len(config.groups.groups[k]), m))
+                for k in np.flatnonzero(counts)}
+    except (MemoryError, ValueError) as exc:
+        where = "/replications" if replications is None else "--reps"
+        raise ConfigError(
+            where, f"{reps} replications do not fit in memory ({exc})"
+        ) from None
     evaluator = None
     if config.evaluator["type"] == "command":
         evaluator = _CommandEvaluator(config.evaluator["argv"], m,

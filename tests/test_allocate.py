@@ -1,11 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mlblue import allocate
 from mlblue.allocate import (
+    _PROJECTION_CHUNK,
     Allocation,
     MosapSpec,
+    _integer_feasible,
     integer_projection,
     pareto_sweep,
     solve_mosap,
@@ -224,6 +228,128 @@ def test_projection_matches_exhaustive_enumeration():
     assert best is not None
     assert np.array_equal(out.n, best[1])
     assert not out.fallback
+
+
+def scalar_projection(spec, n):
+    """The projection rule with every candidate scored by _integer_feasible.
+
+    Returns the best (key, candidate, variances), the sorted keys of all
+    feasible candidates and the number of infeasible ones.
+    """
+    near = np.abs(n - np.rint(n)) <= 1e-6
+    base = np.where(near, np.rint(n), np.floor(n))
+    frac = np.flatnonzero(~near)
+    scored, rejected = [], 0
+    for bits in itertools.product((0.0, 1.0), repeat=frac.size):
+        cand = base.copy()
+        cand[frac] += np.asarray(bits)
+        ok, variances = _integer_feasible(spec, cand)
+        if not ok:
+            rejected += 1
+            continue
+        cost = float(spec.group_costs @ cand)
+        objective = {"budget": max(variances), "tolerance": cost,
+                     "pareto": max(variances) + (spec.tau or 0.0) * cost}
+        scored.append(((objective[spec.mode], cost, tuple(cand)), cand, variances))
+    scored.sort(key=lambda entry: entry[0])
+    return scored[0], [entry[0] for entry in scored], rejected
+
+
+def fractional_point(rng, gs, count, high=12.0):
+    n = np.rint(rng.uniform(0.0, high, gs.num_groups))
+    idx = rng.choice(gs.num_groups, size=count, replace=False)
+    n[idx] = np.floor(n[idx]) + rng.uniform(0.05, 0.95, count)
+    return n
+
+
+def two_output_problem(seed):
+    rng = np.random.default_rng(seed)
+    cov = np.stack([random_spd(rng, 3), random_spd(rng, 3)])
+    gs = enumerate_groups(all_output_modelset([4.0, 1.0, 0.25], num_outputs=2))
+    return rng, gs, systems_from_store(gs, CovarianceStore(cov))
+
+
+def projection_case(name):
+    """(spec, fractional allocation) of one batched-projection case."""
+    if name in ("budget", "across-chunks", "integer"):
+        rng = np.random.default_rng(40)
+        spec, gs = single_output_spec([27.0, 9.0, 3.0, 1.0], random_spd(rng, 4),
+                                      "budget", budget=1.0)
+        # the smallest f whose 2^f candidates end in a partial batch
+        count = {"budget": 10, "integer": 0, "across-chunks": next(
+            f for f in range(1, 21)
+            if 2**f > _PROJECTION_CHUNK and 2**f % _PROJECTION_CHUNK)}[name]
+        n = fractional_point(rng, gs, count)
+        return replace(spec, budget=float(gs.group_costs @ n)), n
+    if name in ("tolerance", "pareto", "extra-linear"):
+        rng, gs, systems = two_output_problem(41)
+        n = fractional_point(rng, gs, 6)
+        variances = np.array([blue_variance(s, n) for s in systems])
+        cost = float(gs.group_costs @ n)
+        if name == "tolerance":
+            return MosapSpec(mode="tolerance", groups=gs, systems=systems,
+                             tolerances=variances * 1.02), n
+        if name == "pareto":
+            return MosapSpec(mode="pareto", groups=gs, systems=systems,
+                             tau=variances.max() / cost), n
+        cap = gs.contains_highfi().astype(float)
+        return MosapSpec(mode="budget", groups=gs, systems=systems,
+                         budget=1.1 * cost,
+                         extra_linear=((cap, cap @ np.floor(n) + 1.0),)), n
+    if name == "no-anchor":
+        rng = np.random.default_rng(42)
+        spec, gs = single_output_spec([4.0, 1.0, 0.25], random_spd(rng, 3),
+                                      "budget", budget=1e6)
+        n = fractional_point(rng, gs, 3)
+        anchors = gs.contains_highfi()
+        n[anchors] = rng.uniform(0.1, 0.9, anchors.sum())
+        return spec, n
+    if name == "unidentifiable":
+        # model 2 carries 1e13 times model 1's information per sample, so
+        # the 1e-12 eigenvalue cutoff drops model 1's direction unless
+        # model 1 is sampled often enough
+        eps = 1e-13
+        cov = np.array([[1.0, 0.5 * np.sqrt(eps)], [0.5 * np.sqrt(eps), eps]])
+        spec, gs = single_output_spec([1.0, 0.5], cov, "budget", budget=1e6)
+        return spec, np.array([9.5, 1.5, 0.5])
+    # equal-cost tie: groups (1, 2) and (1, 3) cost the same, and the loose
+    # tolerance makes every candidate that samples model 1 feasible
+    spec, gs = single_output_spec([4.0, 1.0, 1.0], np.diag([1.0, 2.0, 3.0]),
+                                  "tolerance", tolerances=[100.0])
+    n = np.zeros(gs.num_groups)
+    n[[gs.index_of((1, 2)), gs.index_of((1, 3))]] = 0.5
+    n[gs.index_of((2,))] = 2.5
+    n[gs.index_of((2, 3))] = 1.25
+    return spec, n
+
+
+@pytest.mark.parametrize("name", [
+    "budget", "tolerance", "pareto", "extra-linear", "no-anchor",
+    "unidentifiable", "tie", "integer", "across-chunks",
+])
+def test_batched_projection_matches_scalar_scoring(name):
+    spec, n = projection_case(name)
+    best, keys, rejected = scalar_projection(spec, n)
+    out = integer_projection(spec, fabricate(spec, n))
+    assert not out.fallback
+    assert np.array_equal(out.n, best[1])
+    assert np.array_equal(out.per_output_variance, best[2])
+    if name in ("extra-linear", "no-anchor", "unidentifiable"):
+        assert rejected > 0
+    if name == "tie":
+        assert keys[0][:2] == keys[1][:2]
+    if name == "across-chunks":
+        assert len(keys) + rejected > _PROJECTION_CHUNK
+
+
+def test_projection_reports_greedy_rounding(monkeypatch, capsys):
+    monkeypatch.setattr(allocate, "_ENUMERATION_CAP", 2)
+    spec, n = projection_case("budget")
+    integer_projection(spec, fabricate(spec, n))
+    assert capsys.readouterr().err == (
+        "integer projection: rounded 8 of 10 fractional entries up before "
+        "enumerating\n"
+    )
 
 
 def test_projection_forces_ceiling_for_wellposedness():

@@ -139,6 +139,29 @@ def test_estimate_seed_out_of_range_exits_2(tmp_path, capsys, seed):
     assert f"--seed: seed {seed} is outside" in capsys.readouterr().err
 
 
+# no machine allocates these: 10**17 float64 sums take at least 711 PiB,
+# and 10**19 exceeds numpy's largest array dimension
+@pytest.mark.parametrize("size", [10 ** 17, 10 ** 19])
+@pytest.mark.parametrize("where", ["/replications", "--reps"])
+def test_replications_beyond_memory_exit_2(tmp_path, capsys, size, where):
+    if where == "--reps":
+        argv = ["--config", budget_config(tmp_path), "--reps", str(size)]
+    else:
+        argv = ["--config", budget_config(tmp_path, replications=size)]
+    assert main(["estimate", *argv]) == 2
+    assert (f"config error: {where}: {size} replications do not fit in memory"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("size", [10 ** 17, 10 ** 19])
+def test_pilot_count_beyond_memory_exits_2(tmp_path, capsys, size):
+    pilot = {"type": "pilot", "count": size}
+    path = budget_config(tmp_path, covariance=pilot)
+    assert main(["allocate", "--config", path]) == 2
+    assert (f"config error: /covariance/count: {size} pilot samples do not "
+            "fit in memory" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["allocate", "estimate"])
 def test_seed_flag_is_the_config_seed(tmp_path, capsys, command):
     # the seed drives the pilot draws, so it moves the allocation too

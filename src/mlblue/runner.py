@@ -4,9 +4,12 @@ run_estimate turns an integer allocation into actual estimates: for every
 group with a positive count it draws that many common-input samples of the
 group's models per replication and keeps only their sums, then combines
 the sums of all replications through the linear estimator core, one call
-per output. Sample streams are keyed by (seed, group index) with one
-counter block per replication, so results depend only on (config, seed),
-never on execution order.
+per output. Sampling goes group by group: each sampled group's stream is
+keyed by (seed, group index) and one generator serves all replications,
+its counter moved to each replication's own block. The synthetic suite
+maps each replication's factor sum through the loadings once instead of
+evaluating every sample. Results depend only on (config, seed), never on
+execution order.
 
 The module also owns the on-disk formats: allocation JSON, estimate-report
 JSON, and the Pareto frontier CSV with its fixed header and 17-significant-
@@ -88,34 +91,36 @@ class _CommandEvaluator:
         except OSError as exc:
             raise EvaluatorError(f"cannot start evaluator {argv!r}: {exc}") from exc
 
-    def draw_group(self, group, count, seed, group_index, replication=0):
-        """``SyntheticSuite.draw_group`` with the models evaluated externally:
-        same keyed streams, same (count, len(group), num_outputs) result."""
-        z = SyntheticSuite.factor_draws(count, self.input_dim, seed,
-                                        group_index, replication)
-        where = f"group {group_index} (replication {replication})"
-        out = np.empty((z.shape[0], len(group), self.num_outputs))
-        for j in range(z.shape[0]):
-            for a, model in enumerate(group):
-                req = json.dumps({"model": int(model), "input": list(map(float, z[j]))})
-                try:
-                    self.proc.stdin.write(req + "\n")
-                    self.proc.stdin.flush()
-                    line = self.proc.stdout.readline()
-                except (BrokenPipeError, OSError) as exc:
-                    raise EvaluatorError(f"evaluator died at {where}, sample {j}") from exc
-                if not line:
-                    raise EvaluatorError(f"evaluator closed its output at {where}, sample {j}")
-                try:
-                    values = json.loads(line)["values"]
-                    out[j, a, :] = np.asarray(values, dtype=float)
-                    if not np.isfinite(out[j, a]).all():
-                        raise ValueError("values must be finite")
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise EvaluatorError(
-                        f"bad evaluator response at {where}, sample {j}: {line!r}"
-                    ) from exc
-        return out
+    def draw_sums(self, group, count, seed, group_index, out):
+        """``SyntheticSuite.draw_sums`` with the models evaluated externally:
+        the same keyed streams, each sample sent model by model, and each
+        replication's responses summed into ``out[r]``."""
+        blocks = SyntheticSuite.factor_blocks(count, self.input_dim, seed,
+                                              group_index, range(len(out)))
+        samples = np.empty((count, len(group), self.num_outputs))
+        for r, z in enumerate(blocks):
+            where = f"group {group_index} (replication {r})"
+            for j in range(count):
+                for a, model in enumerate(group):
+                    req = json.dumps({"model": int(model), "input": list(map(float, z[j]))})
+                    try:
+                        self.proc.stdin.write(req + "\n")
+                        self.proc.stdin.flush()
+                        line = self.proc.stdout.readline()
+                    except (BrokenPipeError, OSError) as exc:
+                        raise EvaluatorError(f"evaluator died at {where}, sample {j}") from exc
+                    if not line:
+                        raise EvaluatorError(f"evaluator closed its output at {where}, sample {j}")
+                    try:
+                        values = json.loads(line)["values"]
+                        samples[j, a, :] = np.asarray(values, dtype=float)
+                        if not np.isfinite(samples[j, a]).all():
+                            raise ValueError("values must be finite")
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise EvaluatorError(
+                            f"bad evaluator response at {where}, sample {j}: {line!r}"
+                        ) from exc
+            out[r] = samples.sum(axis=0)
 
     def close(self):
         if self.proc.stdin:
@@ -206,13 +211,11 @@ def run_estimate(config: ProblemConfig, allocation,
                                       config.evaluator["input_dim"])
     elif config.suite is None:
         raise ValueError("synthetic evaluator needs a suite")
-    draw_group = (evaluator or config.suite).draw_group
+    draw_sums = (evaluator or config.suite).draw_sums
     try:
-        for r in range(reps):
-            for k, buffer in sums.items():
-                draws = draw_group(config.groups.groups[k], int(counts[k]),
-                                   config.seed, k, replication=r)
-                buffer[r] = draws.sum(axis=0)
+        for k, buffer in sums.items():
+            draw_sums(config.groups.groups[k], int(counts[k]), config.seed, k,
+                      buffer)
     finally:
         if evaluator is not None:
             evaluator.close()

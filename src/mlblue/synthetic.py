@@ -11,6 +11,11 @@ Sampling is counter-based so that independent streams are a matter of
 bookkeeping, not luck: the stream for a given (seed, group index) pair is
 keyed, and each replication starts at its own counter block. Replications
 and groups can be drawn in any order and still produce identical numbers.
+``factor_blocks`` is the one place that builds such a stream: one generator
+per (seed, group index), its counter moved to each replication's block in
+turn. ``draw_sums`` sums a group's factor draws over the samples first and
+maps the sum through the loadings once per replication, since the estimator
+needs nothing but the per-group sample sums.
 """
 
 from __future__ import annotations
@@ -116,18 +121,54 @@ class SyntheticSuite:
                               replication)
         return self.evaluate(group, z)
 
+    def draw_sums(self, group, count: int, seed: int, group_index: int,
+                  out: np.ndarray) -> None:
+        """Fill ``out`` with the sample sums of ``draw_group`` per replication.
+
+        ``out`` has shape (replications, len(group), num_outputs); row r
+        receives ``draw_group(group, count, seed, group_index, r).sum(axis=0)``
+        up to rounding, computed as count * mean + (sum of the factor draws)
+        @ loadings.T, so no sample is mapped on its own.
+        """
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        members = [i - 1 for i in sorted(group)]
+        offset = count * self._means[:, members].T
+        # loads[f, a * num_outputs + s] = loadings[s, members[a], f]
+        loads = self._loadings[:, members, :].transpose(2, 1, 0).reshape(
+            self.num_factors, -1)
+        blocks = self.factor_blocks(count, self.num_factors, seed, group_index,
+                                    range(len(out)))
+        for r, z in enumerate(blocks):
+            out[r] = offset + (z.sum(axis=0) @ loads).reshape(offset.shape)
+
     @staticmethod
     def factor_draws(count, dim, seed, stream_index, replication=0):
-        """Standard normal draws from the keyed counter-based stream.
+        """Standard normal draws of one replication's block of a keyed stream."""
+        return next(SyntheticSuite.factor_blocks(count, dim, seed, stream_index,
+                                                 (replication,)))
 
-        Streams with different (seed, stream_index) pairs are independent;
-        within one stream each replication owns its own counter block, so
-        draws never overlap between replications either.
+    @staticmethod
+    def factor_blocks(count, dim, seed, stream_index, replications):
+        """Yield (count, dim) standard normal draws for each listed replication.
+
+        The stream is a Philox generator keyed by (seed, stream_index); streams
+        with different keys are independent. Replication r owns the counter
+        block starting at [0, 0, r, 0], so draws never overlap between
+        replications either. One generator serves all the listed
+        replications: assigning the state moves its counter to the block and
+        empties its buffer, exactly as a fresh construction would, so each
+        block is bit-identical whatever the order of ``replications``.
         """
         key = np.array([seed, stream_index], dtype=np.uint64)
-        counter = np.array([0, 0, replication, 0], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        return rng.standard_normal((count, dim))
+        bit_generator = np.random.Philox(key=key)
+        rng = np.random.Generator(bit_generator)
+        state = bit_generator.state
+        counter = state["state"]["counter"]
+        for replication in replications:
+            counter[:] = (0, 0, replication, 0)
+            bit_generator.state = state
+            yield rng.standard_normal((count, dim))
 
     @classmethod
     def hierarchy(cls, num_models: int, num_outputs: int = 1, rate: float = 2.0,

@@ -21,6 +21,7 @@ from mlblue.runner import (
     run_estimate,
     spec_from_config,
 )
+from mlblue.synthetic import SyntheticSuite
 
 
 def two_model_config(loadings=None, mode=None, **extra):
@@ -342,6 +343,26 @@ def test_command_evaluator_couples_group_inputs(tmp_path):
         assert a["input"] == b["input"]  # same draw for the whole group
     inputs = {tuple(r["input"]) for r in reqs}
     assert len(inputs) == 5  # distinct draws across samples
+
+
+def test_command_evaluator_request_order(tmp_path):
+    # group by group, then replication, then sample, then model
+    log = tmp_path / "log.jsonl"
+    cfg = command_config(tmp_path, argv_extra=(str(log),))
+    n = np.zeros(cfg.groups.num_groups)
+    counts = {(1,): 2, (1, 2): 3}
+    for group, count in counts.items():
+        n[cfg.groups.index_of(group)] = count
+    run_estimate(replace(cfg, seed=4), n, replications=2)
+    reqs = [json.loads(ln) for ln in log.read_text().splitlines()]
+    want = []
+    for k in sorted(cfg.groups.index_of(g) for g in counts):
+        group = cfg.groups.groups[k]
+        blocks = SyntheticSuite.factor_blocks(counts[group], 2, 4, k, (0, 1))
+        for z in blocks:
+            for j in range(len(z)):
+                want += [{"model": model, "input": z[j].tolist()} for model in group]
+    assert reqs == want
 
 
 def test_ill_posed_allocation_raises_before_any_request(tmp_path):

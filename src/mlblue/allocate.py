@@ -138,7 +138,6 @@ class Allocation:
     per_output_variance: np.ndarray
     total_cost: float
     is_integer: bool
-    selected_groups: tuple[int, ...]  # indices with n > 0
     objective_value: float
     solver_status: str = "optimal"
     solver_iterations: int = 0
@@ -322,7 +321,6 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
         per_output_variance=variances,
         total_cost=float(spec.group_costs @ n),
         is_integer=False,
-        selected_groups=tuple(int(k) for k in np.flatnonzero(n > 0)),
         objective_value=_objective_of(spec, n, variances),
         solver_status=sol.status,
         solver_iterations=sol.iterations,
@@ -506,7 +504,6 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
         per_output_variance=variances,
         total_cost=float(spec.group_costs @ n_int),
         is_integer=True,
-        selected_groups=tuple(int(k) for k in np.flatnonzero(n_int > 0)),
         objective_value=obj,
         fallback=fallback,
     )

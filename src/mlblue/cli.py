@@ -14,7 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 import numpy as np
@@ -61,25 +61,26 @@ def _settings(args):
     return SdpSettings(gap_tol=args.gap_tol, feas_tol=args.feastol)
 
 
-def _solve_project(cfg, args, mode=None, tau_tilde=None):
-    spec = spec_from_config(cfg, mode=mode, tau_tilde=tau_tilde)
+def _solve_project(cfg, args):
+    spec = spec_from_config(cfg)
     alloc = solve_mosap(spec, _settings(args))
     if alloc.solver_status != "optimal":
         raise SolverFailure(f"solver stopped with status {alloc.solver_status!r}")
-    return spec, integer_projection(spec, alloc)
+    alloc = integer_projection(spec, alloc)
+    if alloc.fallback:
+        rule = ("scaled the allocation onto the budget and floored it"
+                if spec.mode == "budget" else "rounded every entry up")
+        print(f"integer projection: no rounding is feasible; {rule}",
+              file=sys.stderr)
+    return alloc
 
 
 def _cmd_allocate(args):
     cfg = _load(args)
     if cfg.mode == "pareto" and cfg.tau_tilde is None:
         raise ConfigError("/mode", "this config sweeps tau; use the pareto subcommand")
-    _, alloc = _solve_project(cfg, args)
-    payload = allocation_to_json(alloc, cfg.groups)
-    if args.output:
-        emit_outputs(payload, args.output)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+    alloc = _solve_project(cfg, args)
+    emit_outputs(allocation_to_json(alloc, cfg.groups), args.output)
     print(f"mode={alloc.mode} cost={alloc.total_cost:.6g} "
           f"max_variance={alloc.max_variance:.6g} "
           f"iterations={alloc.solver_iterations}", file=sys.stderr)
@@ -93,15 +94,12 @@ def _cmd_pareto(args):
     sweep = cfg.sweep or _DEFAULT_SWEEP
     spec = spec_from_config(cfg, tau_tilde=sweep[0])
     records = pareto_sweep(spec, sweep, _settings(args))
-    solved = [r for r in records if r.get("status") != "failed"]
+    solved = [r for r in records if r["status"] == "optimal"]
     if not solved:
-        raise SolverFailure("every sweep point failed")
-    if args.output:
-        fmt = "csv" if args.output.endswith(".csv") else args.format
-        emit_outputs(records, args.output, format=fmt)
-    else:
-        from .runner import frontier_to_csv
-        sys.stdout.write(frontier_to_csv(records))
+        raise SolverFailure("no sweep point solved to optimality")
+    suffix = os.path.splitext(args.output or "")[1]
+    fmt = {".csv": "csv", ".json": "json"}.get(suffix, args.format)
+    emit_outputs(records, args.output, format=fmt)
     print(f"{len(solved)}/{len(records)} sweep points solved", file=sys.stderr)
     return 0
 
@@ -110,14 +108,10 @@ def _cmd_estimate(args):
     cfg = _load(args)
     if cfg.mode == "pareto" and cfg.tau_tilde is None:
         raise ConfigError("/mode", "estimate needs budget, tolerance, or a fixed tau_tilde")
-    _, alloc = _solve_project(cfg, args)
+    alloc = _solve_project(cfg, args)
     report = run_estimate(cfg, alloc, replications=args.reps)
-    payload = report_to_json(report, allocation_to_json(alloc, cfg.groups))
-    if args.output:
-        emit_outputs(payload, args.output)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+    emit_outputs(report_to_json(report, allocation_to_json(alloc, cfg.groups)),
+                 args.output)
     emp = report.empirical_variance
     for s in range(report.mean_estimate.size):
         line = (f"output {s + 1}: estimate={report.mean_estimate[s]:.10g} "
@@ -133,7 +127,7 @@ def _cmd_benchmark(args):
     cfg = _load(args)
     if cfg.mode != "tolerance":
         raise ConfigError("/mode", "benchmark compares methods at a tolerance")
-    _, alloc = _solve_project(cfg, args)
+    alloc = _solve_project(cfg, args)
     rows = {"mlblue": allocation_to_json(alloc, cfg.groups)}
     for method in ("mlmc", "mfmc"):
         try:
@@ -169,7 +163,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("pareto", help="sweep the cost/accuracy frontier")
     _add_common(p)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
-                   help="output format when --output has no .csv suffix")
+                   help="output format, on stdout too; an --output path "
+                        "ending in .csv or .json picks its own")
     p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser("estimate", help="allocate, sample, and estimate")

@@ -10,13 +10,13 @@ Validation is deliberately strict. Unknown keys are errors, not warnings,
 and every complaint carries a JSON-pointer path so a bad file can be fixed
 without reading this module. Loading resolves all cross-references: the
 returned ProblemConfig holds constructed ModelSet/GroupSet/CovarianceStore
-objects plus a canonical dict that round-trips through serialization.
+objects and the parsed mode, constraints, evaluator and sampling settings.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "ProblemConfig",
     "load_problem",
     "parse_problem",
-    "save_problem",
     "check_seed",
     "PILOT_STREAM_INDEX",
 ]
@@ -67,7 +66,6 @@ class ProblemConfig:
     evaluator: dict
     seed: int
     replications: int
-    canonical: dict = field(repr=False)
 
     @property
     def num_models(self) -> int:
@@ -279,9 +277,9 @@ def _parse_groups(section, models):
                 ids.append(v)
             if len(set(ids)) != len(ids):
                 raise ConfigError(f"/groups/deny/{i}", "duplicate model ids")
-            deny.append(tuple(sorted(ids)))
+            deny.append(ids)
     try:
-        return enumerate_groups(models, kappa=kappa, deny_list=deny), kappa, deny
+        return enumerate_groups(models, kappa=kappa, deny_list=deny)
     except ValueError as exc:
         raise ConfigError("/groups", str(exc)) from exc
 
@@ -366,72 +364,18 @@ def parse_problem(raw: dict) -> ProblemConfig:
     replications = _as_number(raw.get("replications", 100), "/replications",
                               positive=True, integer=True)
     store = _parse_covariance(raw["covariance"], models, suite, seed)
-    groups, kappa, deny = _parse_groups(raw.get("groups"), models)
+    groups = _parse_groups(raw.get("groups"), models)
     mode, budget, tolerances, tau, sweep = _parse_mode(raw["mode"], models)
     caps = _parse_constraints(raw.get("constraints"), models)
     # an allocate-only config needs no evaluator, so a synthetic evaluator
     # without a /synthetic section is only an error once estimation starts
     evaluator = _parse_evaluator(raw.get("evaluator"))
-
-    canonical = {
-        "models": {
-            "costs": [float(c) for c in models.costs],
-            "num_outputs": models.num_outputs,
-            "outputs": [
-                [int(s) + 1 for s in np.flatnonzero(models.produces[i])]
-                for i in range(models.num_models)
-            ],
-        },
-        "covariance": _canonical_covariance(raw["covariance"]),
-        "groups": {"kappa": kappa, "deny": [list(g) for g in sorted(deny)]},
-        "mode": _canonical_mode(mode, budget, tolerances, tau, sweep),
-        "constraints": {"model_caps": [c if c is None else float(c) for c in caps]},
-        "evaluator": evaluator,
-        "seed": seed,
-        "replications": replications,
-    }
-    if raw.get("synthetic") is not None:
-        canonical["synthetic"] = _canonical_synthetic(raw["synthetic"], suite)
-
     return ProblemConfig(
         models=models, groups=groups, store=store, suite=suite, mode=mode,
         budget=budget, tolerances=tolerances, tau_tilde=tau, sweep=sweep,
         model_caps=caps, evaluator=evaluator, seed=seed,
-        replications=replications, canonical=canonical,
+        replications=replications,
     )
-
-
-def _canonical_covariance(section):
-    out = {"type": section["type"]}
-    if section["type"] == "inline":
-        out["matrices"] = [
-            [[None if v is None else float(v) for v in row] for row in mat]
-            for mat in _per_output(section["matrices"])
-        ]
-    elif section["type"] == "pilot":
-        out["count"] = int(section["count"])
-    return out
-
-
-def _canonical_mode(mode, budget, tolerances, tau, sweep):
-    out = {"type": mode}
-    if mode == "budget":
-        out["budget"] = float(budget)
-    elif mode == "tolerance":
-        out["eps2"] = [float(v) for v in tolerances]
-    elif sweep:
-        out["sweep"] = [float(v) for v in sweep]
-    else:
-        out["tau_tilde"] = float(tau)
-    return out
-
-
-def _canonical_synthetic(section, suite):
-    if "hierarchy" in section:
-        return {"hierarchy": {k: float(v) for k, v in section["hierarchy"].items()}}
-    out = {"loadings": suite.loadings.tolist()}
-    out["means"] = suite.means.tolist()
-    return out
 
 
 def load_problem(path, seed: int | None = None) -> ProblemConfig:
@@ -445,10 +389,3 @@ def load_problem(path, seed: int | None = None) -> ProblemConfig:
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed
     return parse_problem(raw)
-
-
-def save_problem(config: ProblemConfig, path) -> None:
-    """Write the canonical form; loading it back gives the same canonical form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.canonical, fh, indent=2, sort_keys=True)
-        fh.write("\n")

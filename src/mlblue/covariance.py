@@ -116,7 +116,7 @@ class PilotBatch:
     models are masked out via ``available`` and their columns are ignored.
     """
 
-    samples: np.ndarray  # (num_outputs, n_pilot, num_models)
+    samples: np.ndarray  # (num_outputs, count, num_models)
     available: np.ndarray  # (num_outputs, num_models) bool
 
     def __init__(self, samples, available=None):
@@ -124,9 +124,9 @@ class PilotBatch:
         if samples.ndim == 2:
             samples = samples[None]
         if samples.ndim != 3:
-            raise ValueError("samples must be (outputs, n_pilot, models)")
-        m, n_pilot, n = samples.shape
-        if n_pilot < 2:
+            raise ValueError("samples must be (outputs, count, models)")
+        m, count, n = samples.shape
+        if count < 2:
             raise ValueError("at least 2 pilot samples are required")
         if available is None:
             available = np.ones((m, n), dtype=bool)
@@ -139,10 +139,6 @@ class PilotBatch:
         object.__setattr__(self, "samples", _freeze(samples))
         object.__setattr__(self, "available", _freeze(available))
 
-    @property
-    def n_pilot(self) -> int:
-        return self.samples.shape[1]
-
 
 def sample_covariance(batch: PilotBatch) -> CovarianceStore:
     """Unbiased sample covariance of a pilot batch.
@@ -151,7 +147,7 @@ def sample_covariance(batch: PilotBatch) -> CovarianceStore:
     Raises when an available column contains non-finite values; the message
     names the offending model.
     """
-    m, n_pilot, n = batch.samples.shape
+    m, count, n = batch.samples.shape
     mats = np.zeros((m, n, n))
     known = np.zeros((m, n, n), dtype=bool)
     for s in range(m):
@@ -164,7 +160,7 @@ def sample_covariance(batch: PilotBatch) -> CovarianceStore:
                 )
         x = batch.samples[s][:, cols]
         xc = x - x.mean(axis=0)
-        c = xc.T @ xc / (n_pilot - 1)
+        c = xc.T @ xc / (count - 1)
         c = 0.5 * (c + c.T)
         mats[s][np.ix_(cols, cols)] = c
         known[s][np.ix_(cols, cols)] = True

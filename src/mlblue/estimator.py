@@ -105,8 +105,6 @@ class BlueSystem:
             raise IllPosedError(
                 f"output {output} has no usable group containing model 1"
             )
-        if not store.known[output - 1][0, 0]:
-            raise IllPosedError(f"variance of model 1 unknown for output {output}")
         for arr in (group_indices, members, information, lifted, anchor_mask):
             arr.setflags(write=False)
         return cls(

@@ -93,7 +93,6 @@ class GroupSet:
     groups: tuple[tuple[int, ...], ...]
     group_costs: np.ndarray  # shape (num_groups,)
     per_output_allowed: np.ndarray  # bool, shape (num_outputs, num_groups)
-    kappa: int
     num_models: int
     _index: dict = field(repr=False, default_factory=dict)
 
@@ -106,10 +105,6 @@ class GroupSet:
     def num_groups(self) -> int:
         return len(self.groups)
 
-    @property
-    def num_outputs(self) -> int:
-        return self.per_output_allowed.shape[0]
-
     def index_of(self, group) -> int:
         """Index of a group given as an iterable of 1-based model ids."""
         return self._index[tuple(sorted(int(i) for i in group))]
@@ -117,10 +112,6 @@ class GroupSet:
     def contains_highfi(self) -> np.ndarray:
         """Boolean mask of groups containing model 1."""
         return np.array([1 in g for g in self.groups], dtype=bool)
-
-    def highfi_mask(self, output: int) -> np.ndarray:
-        """Groups usable to anchor the given output: allowed and contain 1."""
-        return self.per_output_allowed[output - 1] & self.contains_highfi()
 
 
 def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
@@ -158,7 +149,6 @@ def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
         groups=tuple(groups),
         group_costs=costs,
         per_output_allowed=allowed,
-        kappa=kappa,
         num_models=n,
     )
     hf = gs.contains_highfi()

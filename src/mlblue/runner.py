@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,6 @@ class EstimateReport:
     predicted_variance: np.ndarray
     empirical_variance: np.ndarray | None
     total_cost: float
-    allocation: np.ndarray
     replications: int
     seed: int
 
@@ -132,7 +132,7 @@ class _CommandEvaluator:
             self.proc.wait()
 
 
-def spec_from_config(config: ProblemConfig, mode: str | None = None,
+def spec_from_config(config: ProblemConfig,
                      tau_tilde: float | None = None) -> MosapSpec:
     """Build the allocation problem a config describes.
 
@@ -148,16 +148,15 @@ def spec_from_config(config: ProblemConfig, mode: str | None = None,
             [1.0 if (i + 1) in g else 0.0 for g in config.groups.groups]
         )
         extra.append((coeffs, float(cap)))
-    mode = config.mode if mode is None else mode
     tau = None
-    if mode == "pareto":
+    if config.mode == "pareto":
         if tau_tilde is None:
             tau_tilde = config.tau_tilde
         if tau_tilde is None:
             raise ValueError("pareto spec needs a tau_tilde value")
         tau = float(tau_tilde) / float(np.linalg.norm(config.groups.group_costs))
     return MosapSpec(
-        mode=mode,
+        mode=config.mode,
         groups=config.groups,
         systems=config.systems,
         budget=config.budget,
@@ -233,7 +232,6 @@ def run_estimate(config: ProblemConfig, allocation,
         predicted_variance=predicted,
         empirical_variance=empirical,
         total_cost=float(counts @ config.groups.group_costs),
-        allocation=counts,
         replications=reps,
         seed=config.seed,
     )
@@ -317,10 +315,11 @@ def report_to_json(report: EstimateReport, alloc_json: dict | None = None) -> di
 def frontier_to_csv(frontier) -> str:
     """Fixed-format frontier CSV: ascending tau_tilde, 17 significant digits.
 
-    Failed sweep points carry no cost or variance and are omitted.
+    Only optimal sweep points are written: a failed point carries no cost or
+    variance, and an unconverged one carries no trustworthy ones.
     """
     lines = ["tau_tilde,cost,variance,normalized_error"]
-    points = [p for p in frontier if p.get("status") != "failed"]
+    points = [p for p in frontier if p["status"] == "optimal"]
     for p in sorted(points, key=lambda p: p["tau_tilde"]):
         lines.append(
             "%.17g,%.17g,%.17g,%.17g"
@@ -330,37 +329,38 @@ def frontier_to_csv(frontier) -> str:
 
 
 def _frontier_point_json(p):
-    if p.get("status") == "failed":
+    if p["status"] == "failed":
         return {"tau_tilde": float(p["tau_tilde"]), "status": "failed",
-                "error": p.get("error", "")}
+                "error": p["error"]}
     return {
         "tau_tilde": float(p["tau_tilde"]),
         "cost": float(p["cost"]),
         "variance": float(p["variance"]),
         "normalized_error": float(p["normalized_error"]),
-        "status": p.get("status", "optimal"),
+        "status": p["status"],
     }
 
 
-def emit_outputs(obj, path, format: str = "json"):
-    """Write a frontier (the list of sweep records) or a JSON payload to disk.
+def emit_outputs(obj, path=None, format: str = "json"):
+    """Write a frontier (the list of sweep records) or a JSON payload to
+    ``path``, or to stdout when ``path`` is None.
 
     Frontiers accept 'json' or 'csv'; a payload is JSON only.
     """
     if format not in ("json", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    if isinstance(obj, list):
-        if format == "csv":
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(frontier_to_csv(obj))
-            return
-        payload = [_frontier_point_json(p) for p in obj]
-    elif isinstance(obj, dict):
-        payload = obj
-    else:
+    if not isinstance(obj, (list, dict)):
         raise TypeError(f"cannot emit {type(obj).__name__}")
     if format == "csv":
-        raise ValueError("csv format is only defined for frontiers")
+        if isinstance(obj, dict):
+            raise ValueError("csv format is only defined for frontiers")
+        text = frontier_to_csv(obj)
+    else:
+        if isinstance(obj, list):
+            obj = [_frontier_point_json(p) for p in obj]
+        text = json.dumps(obj, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -207,21 +207,16 @@ class SyntheticSuite:
 
     @classmethod
     def random(cls, num_models: int, num_outputs: int = 1,
-               num_factors: int | None = None, seed: int = 0,
-               mean_scale: float = 1.0, diagonal_boost: float = 0.1,
-               ) -> "SyntheticSuite":
+               seed: int = 0) -> "SyntheticSuite":
         """A randomly generated, well-conditioned suite.
 
-        Loadings are standard normal with ``diagonal_boost`` times the
-        identity pattern added so no model is a near-exact combination of
-        the others. Deterministic in ``seed``.
+        Loadings are standard normal over num_models + 2 factors with 0.1
+        times the identity pattern added so no model is a near-exact
+        combination of the others; means are standard normal.
+        Deterministic in ``seed``.
         """
-        if num_factors is None:
-            num_factors = num_models + 2
-        if num_factors < num_models:
-            raise ValueError("need num_factors >= num_models for full rank")
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        loadings = rng.standard_normal((num_outputs, num_models, num_factors))
-        loadings[:, :, :num_models] += diagonal_boost * np.eye(num_models)
-        means = mean_scale * rng.standard_normal((num_outputs, num_models))
+        loadings = rng.standard_normal((num_outputs, num_models, num_models + 2))
+        loadings[:, :, :num_models] += 0.1 * np.eye(num_models)
+        means = rng.standard_normal((num_outputs, num_models))
         return cls(loadings, means)

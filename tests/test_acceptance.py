@@ -533,7 +533,6 @@ def _fabricate(spec, n):
         per_output_variance=np.array([float("nan")]),
         total_cost=float(spec.group_costs @ n),
         is_integer=False,
-        selected_groups=tuple(int(k) for k in np.flatnonzero(n > 0)),
         objective_value=float("nan"),
     )
 

@@ -190,7 +190,6 @@ def fabricate(spec, n):
         per_output_variance=np.array([np.nan]),
         total_cost=float(spec.group_costs @ n),
         is_integer=bool(np.all(np.rint(n) == n)),
-        selected_groups=tuple(np.flatnonzero(n > 0)),
         objective_value=np.nan,
     )
 

@@ -77,6 +77,47 @@ def test_unreachable_gap_exits_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_infeasible_allocation_sdp_exits_3(tmp_path, capsys):
+    # each output's only anchor group costs 11 on its own, so the budget
+    # passes the per-output check, but both together cost 21
+    path = write_config(tmp_path, {
+        "models": {"costs": [10, 1, 1], "outputs": [[1, 2], [1], [2]],
+                   "num_outputs": 2},
+        "covariance": {"type": "inline", "matrices": [
+            [[1.0, 0.9, None], [0.9, 1.0, None], [None, None, 1.0]],
+            [[1.0, None, 0.9], [None, 1.0, None], [0.9, None, 1.0]],
+        ]},
+        "groups": {"deny": [[1]]},
+        "mode": {"type": "budget", "budget": 11.5},
+    })
+    assert main(["allocate", "--config", path]) == 3
+    assert ("solver failure: allocation SDP is infeasible"
+            in capsys.readouterr().err)
+
+
+def test_projection_fallback_is_reported(tmp_path, capsys, monkeypatch):
+    # with no entry left to enumerate, every fractional entry is rounded up
+    # past the budget, so the only candidate fails and the fallback runs
+    from mlblue import allocate
+
+    monkeypatch.setattr(allocate, "_ENUMERATION_CAP", 0)
+    path = write_config(tmp_path, {
+        "models": {"costs": [64, 8, 1]},
+        "synthetic": {"hierarchy": {"rate": 2.0, "strength": 0.05}},
+        "covariance": {"type": "synthetic"},
+        "groups": {"kappa": 3},
+        "mode": {"type": "budget", "budget": 2000},
+        "seed": 7,
+        "replications": 200,
+    })
+    assert main(["allocate", "--config", path]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["total_cost"] <= 2000
+    assert "integer projection: rounded 3 of 3 fractional entries up" in err
+    assert ("integer projection: no rounding is feasible; scaled the "
+            "allocation onto the budget and floored it") in err
+
+
 def test_pareto_stdout_csv(tmp_path, capsys):
     path = budget_config(tmp_path,
                          mode={"type": "pareto", "sweep": [5.0, 0.5]})
@@ -104,6 +145,36 @@ def test_pareto_csv_and_json_outputs(tmp_path, capsys):
     assert all(p["status"] == "optimal" for p in points)
 
 
+def test_pareto_format_rule(tmp_path, capsys):
+    path = budget_config(tmp_path,
+                         mode={"type": "pareto", "sweep": [5.0, 0.5]})
+    # a .json or .csv path picks its format, whatever --format says
+    json_dest = tmp_path / "front.json"
+    assert main(["pareto", "--config", path, "--output", str(json_dest)]) == 0
+    points = json.loads(json_dest.read_text())
+    csv_dest = tmp_path / "front.csv"
+    assert main(["pareto", "--config", path, "--output", str(csv_dest),
+                 "--format", "json"]) == 0
+    assert csv_dest.read_text().startswith("tau_tilde,")
+    # otherwise --format picks it, on stdout too
+    capsys.readouterr()
+    assert main(["pareto", "--config", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == json_dest.read_text()
+    other = tmp_path / "front.txt"
+    assert main(["pareto", "--config", path, "--output", str(other),
+                 "--format", "json"]) == 0
+    assert json.loads(other.read_text()) == points
+
+
+def test_pareto_unreachable_gap_exits_3(tmp_path, capsys):
+    # unconverged sweep points are not solved ones
+    path = budget_config(tmp_path,
+                         mode={"type": "pareto", "sweep": [0.5, 0.05]})
+    rc = main(["pareto", "--config", path, "--gap-tol", "1e-300"])
+    assert rc == 3
+    assert "solver failure" in capsys.readouterr().err
+
+
 def test_pareto_needs_pareto_mode(tmp_path, capsys):
     rc = main(["pareto", "--config", budget_config(tmp_path)])
     assert rc == 2
@@ -126,10 +197,17 @@ def test_estimate_end_to_end(tmp_path, capsys):
 def test_estimate_seed_determinism(tmp_path, capsys):
     path = budget_config(tmp_path)
     main(["estimate", "--config", path, "--seed", "7"])
-    first = json.loads(capsys.readouterr().out)
+    first = capsys.readouterr()
     main(["estimate", "--config", path, "--seed", "7"])
-    second = json.loads(capsys.readouterr().out)
-    assert first == second
+    second = capsys.readouterr()
+    assert json.loads(first.out) == json.loads(second.out)
+    # --output writes what stdout gets, and leaves the summary on stderr
+    dest = tmp_path / "report.json"
+    assert main(["estimate", "--config", path, "--seed", "7",
+                 "--output", str(dest)]) == 0
+    third = capsys.readouterr()
+    assert dest.read_text() == first.out
+    assert third.out == "" and third.err == first.err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

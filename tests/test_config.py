@@ -8,7 +8,6 @@ from mlblue.config import (
     ConfigError,
     load_problem,
     parse_problem,
-    save_problem,
 )
 
 
@@ -68,24 +67,6 @@ def test_asymmetric_null_mask_rejected():
     raw["covariance"]["matrices"] = [[1.0, None], [0.5, 1.0]]
     with pytest.raises(ConfigError, match="null entries must be symmetric"):
         parse_problem(raw)
-
-
-def test_roundtrip_is_canonical(tmp_path):
-    raw = synthetic_two_model(
-        mode={"type": "tolerance", "eps2": 0.05}
-    )
-    raw["groups"] = {"kappa": 2, "deny": [[2]]}
-    raw["constraints"] = {"model_caps": [8, None]}
-    raw["seed"] = 7
-    cfg = parse_problem(raw)
-    p = tmp_path / "prob.json"
-    save_problem(cfg, p)
-    again = load_problem(p)
-    assert again.canonical == cfg.canonical
-    # serialization is byte-stable too
-    p2 = tmp_path / "prob2.json"
-    save_problem(again, p2)
-    assert p.read_text() == p2.read_text()
 
 
 def test_scalar_tolerance_broadcasts():
@@ -184,7 +165,6 @@ def test_synthetic_evaluator_without_suite_fails_at_run_time():
         per_output_variance=np.array([1.0]),
         total_cost=4.0,
         is_integer=True,
-        selected_groups=(0,),
         objective_value=1.0,
     )
     with pytest.raises(ValueError, match="suite"):
@@ -263,7 +243,6 @@ def test_integer_fields_read_exactly():
     a = parse_problem({**raw, "seed": 2 ** 53})
     b = parse_problem({**raw, "seed": 2 ** 53 + 1})
     assert (a.seed, b.seed) == (2 ** 53, 2 ** 53 + 1)
-    assert b.canonical["seed"] == 2 ** 53 + 1
     # distinct seeds draw distinct pilot samples
     assert not np.array_equal(a.store.matrices, b.store.matrices)
     with pytest.raises(ConfigError) as info:

@@ -268,7 +268,7 @@ def test_system_skips_unknown_groups():
     usable = [gs.groups[k] for k in system.group_indices]
     assert (1, 3) not in usable
     assert (1, 2) in usable and (2, 3) in usable
-    expect = gs.highfi_mask(1).copy()
+    expect = gs.per_output_allowed[0] & gs.contains_highfi()
     expect[gs.index_of((1, 3))] = False
     assert np.array_equal(system.anchor_mask, expect)
 

@@ -119,12 +119,14 @@ def test_budget_feasibility_per_output():
         [2.0, 1.0, 5.0], outputs=[[1, 2], [1], [1, 2]], num_outputs=2
     )
     gs = enumerate_groups(models, kappa=2, deny_list=[(1,)])
+    hf = gs.contains_highfi()
     cheapest = {
-        output: float(np.min(gs.group_costs[gs.highfi_mask(output)]))
-        for output in (1, 2)
+        s: float(np.min(gs.group_costs[gs.per_output_allowed[s - 1] & hf]))
+        for s in (1, 2)
     }
     assert cheapest == {1: 3.0, 2: 7.0}
-    assert [gs.groups[k] for k in np.flatnonzero(gs.highfi_mask(2))] == [(1, 3)]
+    anchors = gs.per_output_allowed[1] & hf
+    assert [gs.groups[k] for k in np.flatnonzero(anchors)] == [(1, 3)]
 
 
 def test_contains_highfi_and_mask():
@@ -132,7 +134,7 @@ def test_contains_highfi_and_mask():
     gs = enumerate_groups(models, kappa=2)
     expect = np.array([1 in g for g in gs.groups])
     assert np.array_equal(gs.contains_highfi(), expect)
-    assert np.array_equal(gs.highfi_mask(1), expect)
+    assert np.array_equal(gs.per_output_allowed[0] & gs.contains_highfi(), expect)
 
 
 def test_group_lookup_roundtrip():
@@ -170,4 +172,4 @@ def test_groupset_is_frozen():
     gs = enumerate_groups(models, kappa=2)
     assert isinstance(gs, GroupSet)
     with pytest.raises(AttributeError):
-        gs.kappa = 3
+        gs.num_models = 4

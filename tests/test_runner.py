@@ -232,11 +232,13 @@ def test_frontier_csv_format():
         {"tau_tilde": 0.1, "cost": 30.0, "variance": 0.0625,
          "normalized_error": 0.125, "status": "optimal"},
         {"tau_tilde": 0.5, "status": "failed", "error": "boom"},
+        {"tau_tilde": 2.0, "cost": 1.0, "variance": 1.0,
+         "normalized_error": 1.0, "status": "max_iter"},
     ]
     text = frontier_to_csv(frontier)
     lines = text.splitlines()
     assert lines[0] == "tau_tilde,cost,variance,normalized_error"
-    assert len(lines) == 3  # failed point dropped
+    assert len(lines) == 3  # failed and unconverged points dropped
     taus = [float(ln.split(",")[0]) for ln in lines[1:]]
     assert taus == sorted(taus)
     # 17 significant digits round-trip exactly
@@ -267,6 +269,12 @@ def test_emit_outputs_dispatch(tmp_path):
     p3 = tmp_path / "frontier.csv"
     emit_outputs(frontier, p3, format="csv")
     assert p3.read_text() == frontier_to_csv(frontier)
+    # JSON keeps every sweep point with its status
+    frontier.append({"tau_tilde": 2.0, "cost": 1.0, "variance": 1.0,
+                     "normalized_error": 1.0, "status": "max_iter"})
+    emit_outputs(frontier, p3)
+    assert [p["status"] for p in json.loads(p3.read_text())] == [
+        "optimal", "max_iter"]
 
 
 def test_report_json_embeds_allocation():

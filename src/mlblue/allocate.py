@@ -310,16 +310,22 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
     """
     _feasibility_check(spec)
     problem, alloc_scale = _build(spec)
-    sol = solve_sdp(problem, settings)
+    try:
+        sol = solve_sdp(problem, settings)
+    except ValueError as exc:  # a non-finite iterate, or a LinAlgError
+        raise RuntimeError(f"allocation SDP failed: {exc}") from exc
     if sol.status == "infeasible":
         raise RuntimeError("allocation SDP is infeasible")
     n = _sanitize(spec, sol.x, alloc_scale)
+    total_cost = float(spec.group_costs @ n)
+    if not np.isfinite(total_cost):
+        raise RuntimeError("allocation SDP failed: the allocation's cost overflows")
     variances = _variances(spec, n)
     return Allocation(
         mode=spec.mode,
         n=n,
         per_output_variance=variances,
-        total_cost=float(spec.group_costs @ n),
+        total_cost=total_cost,
         is_integer=False,
         objective_value=_objective_of(spec, n, variances),
         solver_status=sol.status,
@@ -328,17 +334,23 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
     )
 
 
+def _linear_rows(spec: MosapSpec):
+    """(rows, bounds) of the checks rows @ n <= bounds on integer counts: the
+    negated anchor sums, the caps, then the cost (bound +inf unless budget)."""
+    rows = [-system.anchor_mask.astype(float) for system in spec.systems]
+    bounds = [-(1.0 - 1e-9)] * len(rows)
+    budget = spec.budget if spec.mode == "budget" else np.inf
+    for coeffs, bound in (*spec.extra_linear, (spec.group_costs, budget)):
+        rows.append(coeffs)
+        bounds.append(bound * (1.0 + 1e-12) + 1e-12)
+    return np.array(rows), np.array(bounds)
+
+
 def _integer_feasible(spec: MosapSpec, n: np.ndarray):
     """(feasible, variances) under integer-count semantics."""
-    for system in spec.systems:
-        if n[system.anchor_mask].sum() < 1.0 - 1e-9:
-            return False, None
-    for coeffs, bound in spec.extra_linear:
-        if coeffs @ n > bound * (1.0 + 1e-12) + 1e-12:
-            return False, None
-    if spec.mode == "budget":
-        if spec.group_costs @ n > spec.budget * (1.0 + 1e-12) + 1e-12:
-            return False, None
+    rows, bounds = _linear_rows(spec)
+    if np.any(rows @ n > bounds):
+        return False, None
     try:
         variances = _variances(spec, n)
     except IllPosedError:
@@ -359,18 +371,7 @@ class _BatchScorer:
 
     def __init__(self, spec: MosapSpec, base: np.ndarray, idx: np.ndarray):
         self.spec = spec
-        # linear rows a'n <= bound that _integer_feasible checks, the anchor
-        # sums negated; the cost row goes last
-        rows = [-system.anchor_mask.astype(float) for system in spec.systems]
-        bounds = [-(1.0 - 1e-9)] * len(rows)
-        for coeffs, bound in spec.extra_linear:
-            rows.append(coeffs)
-            bounds.append(bound * (1.0 + 1e-12) + 1e-12)
-        budget = spec.budget if spec.mode == "budget" else np.inf
-        rows.append(spec.group_costs)
-        bounds.append(budget * (1.0 + 1e-12) + 1e-12)
-        rows = np.array(rows)
-        self.bounds = np.array(bounds)
+        rows, self.bounds = _linear_rows(spec)
         self.linear = (rows @ base, rows[:, idx].T)
         self.linear_abs = (np.abs(rows) @ base, np.abs(rows[:, idx]).T)
         self.psi = []

@@ -11,7 +11,11 @@ with a Nesterov-Todd scaled predictor-corrector method, written for the
 dense, modest-size problems produced by the allocation builders: block
 orders up to a few tens, up to a few thousand variables. The NT scaling
 keeps the Schur complement symmetric positive definite, so each iteration
-is one Cholesky factorization plus small dense eigen/SVD work per block.
+is one Cholesky factorization of it plus small dense eigen/SVD work per
+block. The NT scaling of a block reuses the Cholesky factors of S and Z
+that the step search (or the starting point) computed when it accepted
+them, and each block's maps are single products over its coefficients
+laid out as a (k, p*p) matrix.
 
 The method starts infeasible (identity-scaled cone points) and drives
 primal residual, dual residual, and duality gap below the configured
@@ -81,11 +85,14 @@ class PsdBlock:
 
     The map's value is constrained to the PSD cone. Coefficients must be
     symmetric; only the variables actually appearing in the block are listed.
+    The symmetrized coefficients are stored once, C-contiguous, and ``flat``
+    is their (k, p*p) view: each map below is one product over it.
     """
 
     constant: np.ndarray  # (p, p)
     var_indices: np.ndarray  # (k,) int
     coefficients: np.ndarray  # (k, p, p)
+    flat: np.ndarray  # (k, p*p), a view of coefficients
 
     def __init__(self, constant, var_indices, coefficients):
         constant = np.asarray(constant, dtype=float)
@@ -104,11 +111,12 @@ class PsdBlock:
         asym = np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0)
         if asym > 1e-12 * max(np.abs(stack).max(initial=0.0), 1.0):
             raise ValueError("block matrices must be symmetric")
+        coefficients = np.ascontiguousarray(0.5 * (coefficients + coefficients.transpose(0, 2, 1)))
         object.__setattr__(self, "constant", _sym(constant))
         object.__setattr__(self, "var_indices", var_indices)
-        object.__setattr__(
-            self, "coefficients", 0.5 * (coefficients + coefficients.transpose(0, 2, 1))
-        )
+        object.__setattr__(self, "coefficients", coefficients)
+        # not reshape(k, -1): that cannot infer the width when k = 0
+        object.__setattr__(self, "flat", coefficients.reshape(var_indices.size, p * p))
 
     @property
     def order(self) -> int:
@@ -116,18 +124,16 @@ class PsdBlock:
 
     def apply(self, x) -> np.ndarray:
         """Linear part A(x) = sum_j x[var_indices[j]] * coefficients[j]."""
-        return np.tensordot(
-            np.asarray(x)[self.var_indices], self.coefficients, axes=(0, 0)
-        )
+        return (np.asarray(x)[self.var_indices] @ self.flat).reshape(self.constant.shape)
 
     def adjoint(self, z) -> np.ndarray:
         """A*(Z) = (<coefficients[j], Z>)_j, over the block's own variables."""
-        return np.tensordot(self.coefficients, z, axes=([1, 2], [0, 1]))
+        return self.flat @ z.ravel()
 
     def schur(self, winv) -> np.ndarray:
         """Schur term tr(F_i Winv F_j Winv) for each pair of block variables."""
         t = np.matmul(winv, np.matmul(self.coefficients, winv))
-        return np.tensordot(self.coefficients, t, axes=([1, 2], [1, 2]))
+        return self.flat @ t.reshape(self.flat.shape).T
 
 
 @dataclass(frozen=True)
@@ -210,9 +216,9 @@ def _norm(mats, vec):
     )
 
 
-def _nt_scaled(rt, rinv, dsb, dzb):
-    """A block direction pair in the NT-scaled space: R^-1 dS R^-T, R' dZ R."""
-    return rinv @ dsb @ rinv.T, rt.T @ dzb @ rt
+def _factors(mats):
+    """Lower Cholesky factors of cone blocks; LinAlgError if one is not PD."""
+    return [np.linalg.cholesky(_finite(m)) for m in mats]
 
 
 def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSolution:
@@ -256,6 +262,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         )
         S.append(s_scale * np.eye(p))
         Z.append(z_scale * np.eye(p))
+    # Cholesky factors of S and Z, refreshed by every accepted step
+    chol_s, chol_z = _factors(S), _factors(Z)
     row_scale = np.abs(lp_rows).max(axis=1, initial=0.0)
     s_lp = np.maximum(10.0, np.maximum(np.abs(lp_rhs), row_scale))
     z_lp = np.full(
@@ -266,8 +274,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     norm_c = 1.0 + _norm(constants, lp_rhs)
     z_init_norm = _norm(Z, z_lp)
 
-    best = None
-    it = 0
+    best = None  # (score, x, residuals) of the reported iterate
+    status = "max_iter"
     for it in range(cfg.max_iter + 1):
         # residuals of the current iterate
         rp = scatter_adjoint(b_vec, Z, z_lp)
@@ -281,30 +289,21 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         dres = _norm(rd_blocks, rd_lp) / norm_c
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
         score = max(pres, dres, relgap)
+        residuals = {"primal": pres, "dual": dres, "gap": relgap}
         if best is None or score < best[0]:
-            best = (score, x.copy(), it, {"primal": pres, "dual": dres, "gap": relgap})
+            best = (score, x.copy(), residuals)
 
         if pres <= cfg.feas_tol and dres <= cfg.feas_tol and relgap <= cfg.gap_tol:
-            return SdpSolution(
-                x=x.copy(),
-                objective_value=float(problem.objective @ x),
-                status="optimal",
-                residuals={"primal": pres, "dual": dres, "gap": relgap},
-                iterations=it,
-            )
+            best, status = (score, x, residuals), "optimal"
+            break
 
         # approximate Farkas certificate: Z >= 0 large with A(Z) ~ 0, <C,Z> < 0
         z_norm = _norm(Z, z_lp)
         if z_norm > 1e8 * (1.0 + z_init_norm):
             viol = np.linalg.norm(rp - b_vec) / z_norm
             if viol <= 1e-6 and pobj / z_norm <= -1e-9:
-                return SdpSolution(
-                    x=best[1],
-                    objective_value=float(problem.objective @ best[1]),
-                    status="infeasible",
-                    residuals=best[3],
-                    iterations=it,
-                )
+                status = "infeasible"
+                break
 
         if it == cfg.max_iter:
             break
@@ -313,9 +312,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         mu = gap / cone_dim
         nt_list, Winv_list = [], []  # nt: (R, R^-1, L) per block
         try:
-            for sb, zb in zip(S, Z):
-                ls = np.linalg.cholesky(_finite(sb))
-                lz = np.linalg.cholesky(_finite(zb))
+            for ls, lz in zip(chol_s, chol_z):
                 u, lam, vt = np.linalg.svd(_finite(lz.T @ ls))
                 rt = ls @ vt.T / np.sqrt(lam)
                 rinv = (u / np.sqrt(lam)).T @ lz.T
@@ -347,8 +344,12 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         if m_linv is None:
             break
 
-        def m_solve(r):
-            return m_linv.T @ (m_linv @ _finite(r))
+        def m_solve(r, rounds):
+            """M^-1 r, refined `rounds` times against the unridged M."""
+            out = m_linv.T @ (m_linv @ _finite(r))
+            for _ in range(rounds):
+                out = out + m_linv.T @ (m_linv @ _finite(r - M @ out))
+            return out
 
         def solve_direction(ecc_blocks, ecc_lp):
             """Newton step from scaled-space complementarity targets."""
@@ -357,12 +358,9 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
                 [ecc - wrd for ecc, wrd in zip(ecc_blocks, winv_rd)],
                 ecc_lp - (z_lp / s_lp) * rd_lp,
             )
-            dx = m_solve(rhs)
-            # two rounds of iterative refinement against the unridged M;
-            # without this the direction error re-injects primal residual
-            # near convergence and the iteration stalls just above feas_tol
-            for _ in range(2):
-                dx = dx + m_solve(rhs - M @ dx)
+            # without two refinement rounds the direction error re-injects primal
+            # residual near convergence and the iteration stalls above feas_tol
+            dx = m_solve(rhs, 2)
             ds_blocks, dz_blocks = [], []
             for blk, ecc, winv, rd in zip(blocks, ecc_blocks, Winv_list, rd_blocks):
                 dsb = rd + blk.apply(dx)
@@ -373,17 +371,20 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             return dx, ds_blocks, dz_blocks, ds_lp, dz_lp
 
         def boundary_steps(ds_blocks, dz_blocks, ds_lp, dz_lp):
+            """Steps to the cone boundary; per block (R^-1 dS R^-T, R' dZ R)."""
             a_s = _max_step_vec(s_lp, ds_lp)
             a_z = _max_step_vec(z_lp, dz_lp)
+            scaled = []
             for (rt, rinv, lam), dsb, dzb in zip(nt_list, ds_blocks, dz_blocks):
-                ds_t, dz_t = _nt_scaled(rt, rinv, dsb, dzb)
+                ds_t, dz_t = rinv @ dsb @ rinv.T, rt.T @ dzb @ rt
                 a_s = min(a_s, _max_step_scaled(lam, _sym(ds_t)))
                 a_z = min(a_z, _max_step_scaled(lam, _sym(dz_t)))
-            return a_z, a_s
+                scaled.append((ds_t, dz_t))
+            return a_z, a_s, scaled
 
         # predictor: pure Newton step toward complementarity zero
         _, dsa, dza, dsa_lp, dza_lp = solve_direction([-zb for zb in Z], -z_lp)
-        a_z_aff, a_s_aff = boundary_steps(dsa, dza, dsa_lp, dza_lp)
+        a_z_aff, a_s_aff, scaled_aff = boundary_steps(dsa, dza, dsa_lp, dza_lp)
         a_z_aff, a_s_aff = min(1.0, a_z_aff), min(1.0, a_s_aff)
         gap_aff = _inner(
             [zb + a_z_aff * dzb for zb, dzb in zip(Z, dza)],
@@ -395,8 +396,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
 
         # corrector: recenter and subtract the predictor's second-order term
         ecc_blocks = []
-        for (rt, rinv, lam), dsb, dzb in zip(nt_list, dsa, dza):
-            ds_t, dz_t = _nt_scaled(rt, rinv, dsb, dzb)
+        for (rt, rinv, lam), (ds_t, dz_t) in zip(nt_list, scaled_aff):
             cross = _sym(dz_t @ ds_t)
             denom = lam[:, None] + lam[None, :]
             e = -2.0 * cross / denom
@@ -413,8 +413,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             defect = scatter_adjoint(rp, dz_blocks, dz_lp)
             if np.linalg.norm(defect) <= 1e-15 * norm_b:
                 break
-            cx = m_solve(defect)
-            cx += m_solve(defect - M @ cx)
+            cx = m_solve(defect, 1)
             for i, (blk, winv) in enumerate(zip(blocks, Winv_list)):
                 csb = _sym(blk.apply(cx))
                 ds_blocks[i] = ds_blocks[i] + csb
@@ -423,7 +422,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             ds_lp = ds_lp + cs_lp
             dz_lp = dz_lp - (z_lp / s_lp) * cs_lp
             dx = dx + cx
-        a_z, a_s = boundary_steps(ds_blocks, dz_blocks, ds_lp, dz_lp)
+        a_z, a_s, _ = boundary_steps(ds_blocks, dz_blocks, ds_lp, dz_lp)
         a_z = min(1.0, _STEP_SCALE * a_z)
         a_s = min(1.0, _STEP_SCALE * a_s)
 
@@ -434,16 +433,15 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             z_try = [zb + a_z * dzb for zb, dzb in zip(Z, dz_blocks)]
             s_lp_try = s_lp + a_s * ds_lp
             z_lp_try = z_lp + a_z * dz_lp
-            ok = np.all(s_lp_try > 0.0) and np.all(z_lp_try > 0.0)
-            if ok:
+            if np.all(s_lp_try > 0.0) and np.all(z_lp_try > 0.0):
                 try:
-                    for m in s_try + z_try:
-                        np.linalg.cholesky(_finite(m))
+                    chol_try = _factors(s_try), _factors(z_try)
                 except np.linalg.LinAlgError:
-                    ok = False
-            if ok:
-                x, S, Z, s_lp, z_lp = x_try, s_try, z_try, s_lp_try, z_lp_try
-                break
+                    pass
+                else:
+                    x, S, Z, s_lp, z_lp = x_try, s_try, z_try, s_lp_try, z_lp_try
+                    chol_s, chol_z = chol_try
+                    break
             a_z *= 0.5
             a_s *= 0.5
         else:
@@ -452,8 +450,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     return SdpSolution(
         x=best[1],
         objective_value=float(problem.objective @ best[1]),
-        status="max_iter",
-        residuals=best[3],
+        status=status,
+        residuals=best[2],
         iterations=it,
     )
 

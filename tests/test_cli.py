@@ -95,6 +95,31 @@ def test_infeasible_allocation_sdp_exits_3(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("costs, mode", [
+    ([1e300, 8e299, 1e299], {"type": "budget", "budget": 1e300}),
+    ([1e-300, 8e-301, 1e-301], {"type": "budget", "budget": 1e300}),
+    ([1e300, 8e299, 1e299], {"type": "pareto", "tau_tilde": 1.0}),
+])
+def test_solver_overflow_exits_3(tmp_path, capsys, costs, mode):
+    # the solver overflows on schema-valid extremes; that is a solver
+    # failure, not a config error, and nothing non-finite is written
+    path = write_config(tmp_path, {
+        "models": {"costs": costs},
+        "synthetic": {"hierarchy": {"rate": 2.0, "strength": 0.05}},
+        "covariance": {"type": "synthetic"},
+        "groups": {"kappa": 3},
+        "mode": mode,
+        "seed": 7,
+    })
+    out_path = tmp_path / "out.json"
+    assert main(["allocate", "--config", path, "--output", str(out_path)]) == 3
+    assert "solver failure: " in capsys.readouterr().err
+    if out_path.exists():
+        text = out_path.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+
+
 def test_projection_fallback_is_reported(tmp_path, capsys, monkeypatch):
     # with no entry left to enumerate, every fractional entry is rounded up
     # past the budget, so the only candidate fails and the fallback runs

@@ -242,13 +242,23 @@ def random_block(rng, p=5, num_vars=7, k=4):
     )
 
 
+# (order, variables) of the tested blocks; k = 0 is a block with no variable
+BLOCK_SHAPES = ((5, 4), (1, 1), (3, 0))
+
+
 def test_block_map_and_adjoint_match_dense_reference():
     rng = np.random.default_rng(41)
-    blk = random_block(rng)
+    for p, k in BLOCK_SHAPES:
+        check_block_map_and_adjoint(rng, p, k)
+
+
+def check_block_map_and_adjoint(rng, p, k):
+    blk = random_block(rng, p=p, k=k)
     x = rng.standard_normal(7)
-    z = rng.standard_normal((5, 5))
+    z = rng.standard_normal((p, p))
     z = z + z.T
-    dense = sum(x[v] * f for v, f in zip(blk.var_indices, blk.coefficients))
+    dense = sum((x[v] * f for v, f in zip(blk.var_indices, blk.coefficients)),
+                np.zeros((p, p)))
     assert np.allclose(blk.apply(x), dense, rtol=1e-13, atol=1e-13)
     adj = np.zeros(7)
     adj[blk.var_indices] = blk.adjoint(z)
@@ -260,12 +270,40 @@ def test_block_map_and_adjoint_match_dense_reference():
 
 def test_block_schur_term_matches_entrywise_traces():
     rng = np.random.default_rng(42)
-    blk = random_block(rng)
-    a = rng.standard_normal((5, 7))
+    for p, k in BLOCK_SHAPES:
+        check_block_schur_term(rng, p, k)
+
+
+def check_block_schur_term(rng, p, k):
+    blk = random_block(rng, p=p, k=k)
+    a = rng.standard_normal((p, 7))
     w = a @ a.T
     ref = np.array([
         [np.trace(fi @ w @ fj @ w) for fj in blk.coefficients]
         for fi in blk.coefficients
-    ])
+    ]).reshape(k, k)
     got = blk.schur(w)
-    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    assert got.shape == (k, k)
+    assert np.allclose(got, ref, rtol=1e-12,
+                       atol=1e-12 * np.abs(ref).max(initial=0.0))
+
+
+@pytest.mark.parametrize("p, k", BLOCK_SHAPES)
+def test_block_maps_equal_tensordot_forms(p, k):
+    # the (k, p*p) products must give the bits of the tensordot forms the
+    # block maps were first written with, the solver's answers depend on them
+    rng = np.random.default_rng(43)
+    blk = random_block(rng, p=p, k=k)
+    coeffs = blk.coefficients
+    x = rng.standard_normal(7)
+    z = rng.standard_normal((p, p))
+    z = z + z.T
+    a = rng.standard_normal((p, p + 2))
+    winv = a @ a.T
+    t = np.matmul(winv, np.matmul(coeffs, winv))
+    assert np.array_equal(
+        blk.apply(x), np.tensordot(x[blk.var_indices], coeffs, axes=(0, 0)))
+    assert np.array_equal(
+        blk.adjoint(z), np.tensordot(coeffs, z, axes=([1, 2], [0, 1])))
+    assert np.array_equal(
+        blk.schur(winv), np.tensordot(coeffs, t, axes=([1, 2], [1, 2])))

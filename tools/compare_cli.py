@@ -58,8 +58,8 @@ def max_rel_diff(a, b, path="/"):
         if not (math.isfinite(a) and math.isfinite(b)):
             return math.inf, path
         return abs(a - b) / max(abs(a), abs(b)), path
-    else:
-        return (0.0 if a == b else math.inf), path
+    else:  # a bool is not a number here: true in place of 1 is a change
+        return (0.0 if type(a) is type(b) and a == b else math.inf), path
     worst = (0.0, path)
     for x, y, sub in pairs:
         diff = max_rel_diff(x, y, sub)

@@ -73,6 +73,16 @@ def systems_from_store(groups: GroupSet, store: CovarianceStore):
     ]
 
 
+def scale_free_tau(tau_tilde, group_costs) -> float:
+    """tau = tau_tilde / ||c||₂, with c in units of 2^(e-1) for max c = m 2^e.
+
+    That unit divides exactly: the bits are tau_tilde / ||c||'s wherever that
+    norm neither over- nor underflows, and tau is scale-free at every scale.
+    """
+    top = float(np.ldexp(1.0, np.frexp(np.max(group_costs))[1] - 1))
+    return float(tau_tilde) / float(np.linalg.norm(group_costs / top)) / top
+
+
 @dataclass(frozen=True)
 class MosapSpec:
     """A fully specified allocation problem.
@@ -309,15 +319,17 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
     variance variable is only used as the optimization handle.
     """
     _feasibility_check(spec)
-    problem, alloc_scale = _build(spec)
-    try:
-        sol = solve_sdp(problem, settings)
-    except ValueError as exc:  # a non-finite iterate, or a LinAlgError
-        raise RuntimeError(f"allocation SDP failed: {exc}") from exc
-    if sol.status == "infeasible":
-        raise RuntimeError("allocation SDP is infeasible")
-    n = _sanitize(spec, sol.x, alloc_scale)
-    total_cost = float(spec.group_costs @ n)
+    # an overflow shows as a non-finite value, which the checks below report
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem, alloc_scale = _build(spec)
+        try:
+            sol = solve_sdp(problem, settings)
+        except ValueError as exc:  # a non-finite iterate, or a LinAlgError
+            raise RuntimeError(f"allocation SDP failed: {exc}") from exc
+        if sol.status == "infeasible":
+            raise RuntimeError("allocation SDP is infeasible")
+        n = _sanitize(spec, sol.x, alloc_scale)
+        total_cost = float(spec.group_costs @ n)
     if not np.isfinite(total_cost):
         raise RuntimeError("allocation SDP failed: the allocation's cost overflows")
     variances = _variances(spec, n)
@@ -494,11 +506,8 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
         best = (None, cand, variances)
 
     _, n_int, variances = best
-    obj = (
-        _objective_of(spec, n_int, variances)
-        if np.all(np.isfinite(variances))
-        else float("inf")
-    )
+    finite = np.all(np.isfinite(variances))
+    obj = _objective_of(spec, n_int, variances) if finite else float("inf")
     return replace(
         allocation,
         n=n_int,
@@ -523,14 +532,13 @@ def pareto_sweep(
     """
     if spec.mode != "pareto":
         raise ValueError("pareto_sweep needs a pareto-mode spec")
-    cost_norm = float(np.linalg.norm(spec.group_costs))
     v1 = [s.highfi_variance for s in spec.systems]
     records = []
     for tau_tilde in sorted(float(t) for t in tau_tilde_values):
-        point_spec = replace(spec, tau=tau_tilde / cost_norm)
-        record = {"tau_tilde": tau_tilde, "tau": tau_tilde / cost_norm}
+        tau = scale_free_tau(tau_tilde, spec.group_costs)
+        record = {"tau_tilde": tau_tilde, "tau": tau}
         try:
-            alloc = solve_mosap(point_spec, settings)
+            alloc = solve_mosap(replace(spec, tau=tau), settings)
             record.update(
                 allocation=alloc,
                 cost=alloc.total_cost,

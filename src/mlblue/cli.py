@@ -22,7 +22,6 @@ import numpy as np
 from .allocate import integer_projection, pareto_sweep, solve_mosap
 from .baselines import multi_output_baseline
 from .config import ConfigError, check_seed, load_problem
-from .estimator import IllPosedError
 from .runner import (
     EvaluatorError,
     allocation_to_json,
@@ -35,10 +34,6 @@ from .runner import (
 from .sdp import SdpSettings
 
 _DEFAULT_SWEEP = tuple(float(t) for t in np.logspace(-7.0, 4.0, 12))
-
-
-class SolverFailure(RuntimeError):
-    pass
 
 
 def _add_common(sub):
@@ -65,7 +60,7 @@ def _solve_project(cfg, args):
     spec = spec_from_config(cfg)
     alloc = solve_mosap(spec, _settings(args))
     if alloc.solver_status != "optimal":
-        raise SolverFailure(f"solver stopped with status {alloc.solver_status!r}")
+        raise RuntimeError(f"solver stopped with status {alloc.solver_status!r}")
     alloc = integer_projection(spec, alloc)
     if alloc.fallback:
         rule = ("scaled the allocation onto the budget and floored it"
@@ -96,7 +91,7 @@ def _cmd_pareto(args):
     records = pareto_sweep(spec, sweep, _settings(args))
     solved = [r for r in records if r["status"] == "optimal"]
     if not solved:
-        raise SolverFailure("no sweep point solved to optimality")
+        raise RuntimeError("no sweep point solved to optimality")
     suffix = os.path.splitext(args.output or "")[1]
     fmt = {".csv": "csv", ".json": "json"}.get(suffix, args.format)
     emit_outputs(records, args.output, format=fmt)
@@ -180,19 +175,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except EvaluatorError as exc:
         print(f"evaluator failure: {exc}", file=sys.stderr)
         return 4
-    except (SolverFailure, IllPosedError, RuntimeError) as exc:
+    except RuntimeError as exc:  # IllPosedError among them
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

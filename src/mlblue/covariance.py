@@ -5,7 +5,8 @@ model covariances from a CovarianceStore: per output, a symmetric matrix
 plus a mask saying which entries are actually known. Unknown entries are
 the single source of truth for which sampling groups are usable; a group
 whose pairwise covariance block has holes is simply not available to the
-estimator.
+estimator. ``spd_repair`` works on one matrix or on a stack of them, so the
+estimator repairs all blocks of one group size in one call.
 """
 
 from __future__ import annotations
@@ -20,18 +21,12 @@ from .models import restriction_indices
 __all__ = [
     "CovarianceStore",
     "PilotBatch",
-    "UnknownCovarianceError",
     "sample_covariance",
     "spd_repair",
-    "extract_group_covariance",
     "richardson_extrapolate",
     "estimate_decay_rate",
     "reconstruct_highfi_covariance",
 ]
-
-
-class UnknownCovarianceError(KeyError):
-    """Raised when a required covariance entry is not in the store."""
 
 
 def _freeze(arr):
@@ -168,50 +163,37 @@ def sample_covariance(batch: PilotBatch) -> CovarianceStore:
 
 
 def spd_repair(matrix, floor: float = 1e-10) -> np.ndarray:
-    """Raise small eigenvalues so the matrix is safely positive definite.
+    """Raise small eigenvalues so each matrix is safely positive definite.
 
-    Eigenvalues below floor * max_eigenvalue are lifted to that level; if no
-    eigenvalue is positive they are lifted to ``floor`` itself. The input
-    must be symmetric to 1e-12 relative tolerance. Repairing an already
-    repaired matrix is a no-op up to roundoff.
+    ``matrix`` is one symmetric matrix or a stack of them, shape (..., n, n),
+    and each is repaired on its own: eigenvalues below floor * max_eigenvalue
+    are lifted to that level; if no eigenvalue is positive they are lifted
+    to ``floor`` itself. Every matrix must be symmetric to 1e-12 relative
+    tolerance. Repairing an already repaired matrix is a no-op up to
+    roundoff.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
     if floor < 0.0:
         raise ValueError("floor must be nonnegative")
-    scale = np.abs(matrix).max(initial=0.0)
-    if np.abs(matrix - matrix.T).max(initial=0.0) > 1e-12 * max(scale, 1.0):
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    flipped = stack.transpose(0, 2, 1)
+    scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    asym = np.abs(stack - flipped).max(axis=(1, 2), initial=0.0)
+    if np.any(asym > 1e-12 * np.maximum(scale, 1.0)):
         raise ValueError("matrix is asymmetric beyond 1e-12 relative tolerance")
-    sym = 0.5 * (matrix + matrix.T)
+    sym = 0.5 * (stack + flipped)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    lam_max = eigvals[-1]
-    level = floor * lam_max if lam_max > 0.0 else floor
-    if eigvals[0] >= level:
-        return sym
-    lifted = np.maximum(eigvals, level)
-    out = (eigvecs * lifted) @ eigvecs.T
-    return 0.5 * (out + out.T)
-
-
-def extract_group_covariance(
-    store: CovarianceStore, group, output: int = 1, floor: float = 1e-10
-) -> np.ndarray:
-    """SPD covariance block of a group, in ascending model-id order.
-
-    Raises UnknownCovarianceError naming the first missing pair when the
-    store does not cover the group for this output.
-    """
-    idx = restriction_indices(group, store.num_models)
-    mask = store.known[output - 1]
-    for a in idx:
-        for b in idx:
-            if not mask[a, b]:
-                raise UnknownCovarianceError(
-                    f"covariance ({a + 1},{b + 1}) unknown for output {output}"
-                )
-    sub = store.matrices[output - 1][np.ix_(idx, idx)]
-    return spd_repair(sub, floor=floor)
+    lam_max = eigvals[:, -1]
+    level = np.where(lam_max > 0.0, floor * lam_max, floor)
+    repair = eigvals[:, 0] < level
+    if repair.any():
+        vecs = eigvecs[repair]
+        lifted = np.maximum(eigvals[repair], level[repair, None])
+        out = (vecs * lifted[:, None, :]) @ vecs.transpose(0, 2, 1)
+        sym[repair] = 0.5 * (out + out.transpose(0, 2, 1))
+    return sym.reshape(matrix.shape)
 
 
 def richardson_extrapolate(level_values, rate: float, num_finer: int = 1, ratio: float = 2.0):

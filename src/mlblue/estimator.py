@@ -8,6 +8,11 @@ pseudo-inverse gives both the estimator weights and the variance of the
 high-fidelity mean estimate. A model left unsampled simply produces a zero
 row and column, so rank deficiency is expected and handled spectrally
 rather than treated as an error.
+
+An output's blocks are built once, into stacks over its usable groups:
+the groups are rows of the group set's membership matrix, and the blocks
+of one group size are gathered, repaired and factored by one batched
+call each.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceStore, extract_group_covariance
+from .covariance import CovarianceStore, spd_repair
 from .models import GroupSet
 
 __all__ = [
@@ -49,6 +54,9 @@ class BlueSystem:
     block is fully known in the store; every other group behaves as if it
     did not exist for this output. Row j of each stack belongs to global
     group ``group_indices[j]``, in group order; the stacks are read-only.
+    ``from_covariance`` raises ValueError naming the first group, in group
+    order, whose repaired block is not finite, and LinAlgError when a
+    repaired block is not positive definite.
     """
 
     num_models: int
@@ -73,49 +81,52 @@ class BlueSystem:
     def from_covariance(
         cls, groups: GroupSet, store: CovarianceStore, output: int = 1
     ) -> "BlueSystem":
-        allowed = groups.per_output_allowed[output - 1]
-        usable = [
-            k for k, group in enumerate(groups.groups)
-            if allowed[k] and store.group_known(group, output)
-        ]
-        size = groups.num_models
-        members = np.zeros((len(usable), size), dtype=bool)
-        information = np.zeros((len(usable), size, size))
-        lifted = np.zeros((len(usable), size, size))
-        for j, k in enumerate(usable):
-            group = groups.groups[k]
-            cov = extract_group_covariance(store, group, output)
-            if not np.isfinite(cov).all():
+        matrix, known = store.matrices[output - 1], store.known[output - 1]
+        # usable: allowed for the output, with every member pair known
+        holes = ((groups.members @ ~known) & groups.members).any(axis=1)
+        usable = np.flatnonzero(groups.per_output_allowed[output - 1] & ~holes)
+        members = groups.members[usable]
+        sizes = members.sum(axis=1)
+        dim = groups.num_models
+        information = np.zeros((usable.size, dim, dim))
+        lifted = np.zeros((usable.size, dim, dim))
+        # one pass per group size: gather, repair and factor its blocks
+        for width in sorted(set(sizes.tolist())):
+            rows = np.flatnonzero(sizes == width)
+            idx = np.nonzero(members[rows])[1].reshape(rows.size, width)
+            cov = spd_repair(matrix[idx[:, :, None], idx[:, None, :]])
+            bad = ~np.isfinite(cov).all(axis=(1, 2))
+            if bad.any():
+                group = groups.groups[usable[rows[np.argmax(bad)]]]
                 raise ValueError(
                     f"covariance of group {group} for output {output} is not finite"
                 )
-            # raises LinAlgError when cov is not positive definite
+            # raises LinAlgError when a block is not positive definite
             linv = np.linalg.inv(np.linalg.cholesky(cov))
-            inv = linv.T @ linv
+            inv = linv.transpose(0, 2, 1) @ linv
             w, v = np.linalg.eigh(cov)
-            lift = (v / np.maximum(w, 1e-6 * w[-1])) @ v.T
-            idx = np.asarray(group) - 1
-            members[j, idx] = True
-            information[j, idx[:, None], idx] = 0.5 * (inv + inv.T)
-            lifted[j, idx[:, None], idx] = 0.5 * (lift + lift.T)
-        group_indices = np.array(usable, dtype=int)
+            lifts = np.maximum(w, 1e-6 * w[:, -1:])
+            lift = (v / lifts[:, None, :]) @ v.transpose(0, 2, 1)
+            at = (rows[:, None, None], idx[:, :, None], idx[:, None, :])
+            information[at] = 0.5 * (inv + inv.transpose(0, 2, 1))
+            lifted[at] = 0.5 * (lift + lift.transpose(0, 2, 1))
         anchor_mask = np.zeros(groups.num_groups, dtype=bool)
-        anchor_mask[group_indices] = members[:, 0]
+        anchor_mask[usable] = members[:, 0]
         if not np.any(anchor_mask):
             raise IllPosedError(
                 f"output {output} has no usable group containing model 1"
             )
-        for arr in (group_indices, members, information, lifted, anchor_mask):
+        for arr in (usable, members, information, lifted, anchor_mask):
             arr.setflags(write=False)
         return cls(
             num_models=groups.num_models,
             num_groups=groups.num_groups,
             output=output,
-            group_indices=group_indices,
+            group_indices=usable,
             members=members,
             information=information,
             lifted=lifted,
-            highfi_variance=float(store.matrices[output - 1][0, 0]),
+            highfi_variance=float(matrix[0, 0]),
             anchor_mask=anchor_mask,
         )
 

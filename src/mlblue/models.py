@@ -5,7 +5,10 @@ model produces. Model ids are 1-based and model 1 is the reference
 (high-fidelity) model: it must produce every output. Sampling groups are
 nonempty subsets of model ids; all models in a group are evaluated on the
 same random input, which is what makes their sample covariance exploitable
-by the estimator.
+by the estimator. A group set carries its groups twice: as tuples of ids,
+and as one read-only (num_groups, num_models) membership matrix that every
+per-group mask (allowed groups, anchor groups, cap rows, usable groups) is
+computed from.
 """
 
 from __future__ import annotations
@@ -85,15 +88,16 @@ class GroupSet:
     """An ordered collection of sampling groups over a model set.
 
     Groups are sorted by size and then lexicographically by member ids, so
-    the index of a group is reproducible across runs. ``per_output_allowed``
-    marks, for each output, the groups whose members all produce that
-    output; only those groups can contribute to that output's estimator.
+    the index of a group is reproducible across runs. Row k of ``members``
+    marks the models of group k. ``per_output_allowed`` marks, for each
+    output, the groups whose members all produce that output; only those
+    groups can contribute to that output's estimator.
     """
 
     groups: tuple[tuple[int, ...], ...]
     group_costs: np.ndarray  # shape (num_groups,)
     per_output_allowed: np.ndarray  # bool, shape (num_outputs, num_groups)
-    num_models: int
+    members: np.ndarray  # bool, shape (num_groups, num_models), read-only
     _index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -105,13 +109,17 @@ class GroupSet:
     def num_groups(self) -> int:
         return len(self.groups)
 
+    @property
+    def num_models(self) -> int:
+        return self.members.shape[1]
+
     def index_of(self, group) -> int:
         """Index of a group given as an iterable of 1-based model ids."""
         return self._index[tuple(sorted(int(i) for i in group))]
 
     def contains_highfi(self) -> np.ndarray:
         """Boolean mask of groups containing model 1."""
-        return np.array([1 in g for g in self.groups], dtype=bool)
+        return self.members[:, 0].copy()
 
 
 def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
@@ -135,24 +143,23 @@ def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
             if combo not in denied:
                 groups.append(combo)
 
+    members = np.zeros((len(groups), n), dtype=bool)
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    members[rows, [i - 1 for g in groups for i in g]] = True
+    members.setflags(write=False)
+    # a Python sum per group: a row sum over ``members`` adds in another order
     costs = np.array(
         [sum(models.costs[i - 1] for i in g) for g in groups], dtype=float
     )
-    m = models.num_outputs
-    allowed = np.zeros((m, len(groups)), dtype=bool)
-    for s in range(m):
-        col = models.produces[:, s]
-        for k, g in enumerate(groups):
-            allowed[s, k] = all(col[i - 1] for i in g)
-
     gs = GroupSet(
         groups=tuple(groups),
         group_costs=costs,
-        per_output_allowed=allowed,
-        num_models=n,
+        # allowed unless some member does not produce the output
+        per_output_allowed=~(~models.produces.T @ members.T),
+        members=members,
     )
     hf = gs.contains_highfi()
-    for s in range(1, m + 1):
+    for s in range(1, models.num_outputs + 1):
         if not np.any(gs.per_output_allowed[s - 1] & hf):
             raise ValueError(
                 f"no allowed group containing model 1 covers output {s}"

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocate import Allocation, MosapSpec
-from .baselines import BaselineAllocation
+from .allocate import Allocation, MosapSpec, scale_free_tau
+from .baselines import BaselineAllocation, mlmc_levels
 from .config import ConfigError, ProblemConfig
 from .estimator import blue_variance, combine_samples
 from .models import GroupSet
@@ -137,24 +137,18 @@ def spec_from_config(config: ProblemConfig,
     """Build the allocation problem a config describes.
 
     Per-model sample caps become linear rows summing the counts of every
-    group containing the model. For pareto mode the scale-free tau_tilde is
-    divided by the 2-norm of the group cost vector, matching pareto_sweep.
+    group containing the model. For pareto mode the scale-free tau_tilde
+    becomes tau as in pareto_sweep.
     """
-    extra = []
-    for i, cap in enumerate(config.model_caps):
-        if cap is None:
-            continue
-        coeffs = np.array(
-            [1.0 if (i + 1) in g else 0.0 for g in config.groups.groups]
-        )
-        extra.append((coeffs, float(cap)))
+    extra = [(config.groups.members[:, i].astype(float), float(cap))
+             for i, cap in enumerate(config.model_caps) if cap is not None]
     tau = None
     if config.mode == "pareto":
         if tau_tilde is None:
             tau_tilde = config.tau_tilde
         if tau_tilde is None:
             raise ValueError("pareto spec needs a tau_tilde value")
-        tau = float(tau_tilde) / float(np.linalg.norm(config.groups.group_costs))
+        tau = scale_free_tau(tau_tilde, config.groups.group_costs)
     return MosapSpec(
         mode=config.mode,
         groups=config.groups,
@@ -266,8 +260,6 @@ def baseline_to_json(baseline: BaselineAllocation, models) -> dict:
     sort models by count, the j-th group holds every model whose count
     reaches the j-th distinct level and draws the increment.
     """
-    from .baselines import mlmc_levels
-
     if baseline.method == "mlmc":
         _, levels = mlmc_levels(baseline.model_subset, models.costs)
         groups = [list(level) for level in levels]

@@ -4,9 +4,7 @@ import pytest
 from mlblue.covariance import (
     CovarianceStore,
     PilotBatch,
-    UnknownCovarianceError,
     estimate_decay_rate,
-    extract_group_covariance,
     reconstruct_highfi_covariance,
     richardson_extrapolate,
     sample_covariance,
@@ -119,30 +117,20 @@ def test_spd_repair_rejects_asymmetric():
         spd_repair(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-def test_extract_full_and_single_groups():
-    c = np.array([[1.0, 0.9], [0.9, 1.0]])
-    store = CovarianceStore(c[None])
-    assert np.allclose(extract_group_covariance(store, (1, 2)), c)
-    assert np.allclose(extract_group_covariance(store, (2,)), [[1.0]])
-
-
-def test_extract_matches_store_entries_prerepair():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 6))
-    c = a @ a.T
-    store = CovarianceStore(c[None])
-    sub = extract_group_covariance(store, (1, 3, 4), floor=0.0)
-    assert np.array_equal(sub, c[np.ix_([0, 2, 3], [0, 2, 3])])
-
-
-def test_extract_unknown_entry_raises():
-    known = np.ones((3, 3), dtype=bool)
-    known[0, 2] = known[2, 0] = False
-    store = CovarianceStore(np.eye(3)[None], known=known[None])
-    with pytest.raises(UnknownCovarianceError, match=r"covariance \(1,3\) unknown"):
-        extract_group_covariance(store, (1, 3))
-    # other groups remain usable
-    assert store.group_known((1, 2)) and not store.group_known((1, 3))
+def test_spd_repair_stack_matches_each_matrix():
+    stack = np.array([
+        [[2.0, 0.5], [0.5, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0]],  # singular: needs the repair
+        [[4.0, -1.0], [-1.0, 3.0]],
+    ])
+    out = spd_repair(stack, floor=1e-8)
+    assert out.shape == stack.shape
+    for block, repaired in zip(stack, out):
+        assert np.array_equal(repaired, spd_repair(block, floor=1e-8))
+    assert not np.array_equal(out[1], stack[1])
+    stack[2, 0, 1] = 0.0
+    with pytest.raises(ValueError, match="asymmetric"):
+        spd_repair(stack)
 
 
 def test_store_rejects_asymmetric_known_entries():

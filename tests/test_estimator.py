@@ -12,7 +12,8 @@ from mlblue.estimator import (
     pseudo_inverse,
     realized_variance,
 )
-from mlblue.models import enumerate_groups
+from mlblue.models import ModelSet, enumerate_groups
+from mlblue.synthetic import SyntheticSuite
 
 from conftest import all_output_modelset, random_spd
 
@@ -224,7 +225,6 @@ def test_combine_samples_validates_shapes():
         combine_samples(sys2, n + 0.5, {k12: np.zeros(2)})
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_covariance_and_samples_raise():
     gs = enumerate_groups(all_output_modelset([2.0, 1.0]), kappa=2)
     cov = np.array([[1.0, np.nan], [np.nan, 1.0]])
@@ -268,9 +268,88 @@ def test_system_skips_unknown_groups():
     usable = [gs.groups[k] for k in system.group_indices]
     assert (1, 3) not in usable
     assert (1, 2) in usable and (2, 3) in usable
+    assert store.group_known((1, 2)) and not store.group_known((1, 3))
     expect = gs.per_output_allowed[0] & gs.contains_highfi()
     expect[gs.index_of((1, 3))] = False
     assert np.array_equal(system.anchor_mask, expect)
+
+
+def _group_by_group_stacks(groups, store, output):
+    """The stacks as built one group at a time, each block repaired, inverted
+    through its Cholesky factor and lifted on its own."""
+    def repair(matrix, floor=1e-10):
+        sym = 0.5 * (matrix + matrix.T)
+        eigvals, eigvecs = np.linalg.eigh(sym)
+        level = floor * eigvals[-1] if eigvals[-1] > 0.0 else floor
+        if eigvals[0] >= level:
+            return sym
+        out = (eigvecs * np.maximum(eigvals, level)) @ eigvecs.T
+        return 0.5 * (out + out.T)
+
+    allowed = groups.per_output_allowed[output - 1]
+    usable = [k for k, group in enumerate(groups.groups)
+              if allowed[k] and store.group_known(group, output)]
+    size = groups.num_models
+    members = np.zeros((len(usable), size), dtype=bool)
+    information = np.zeros((len(usable), size, size))
+    lifted = np.zeros((len(usable), size, size))
+    for j, k in enumerate(usable):
+        idx = np.asarray(groups.groups[k]) - 1
+        cov = repair(store.matrices[output - 1][np.ix_(idx, idx)])
+        linv = np.linalg.inv(np.linalg.cholesky(cov))
+        inv = linv.T @ linv
+        w, v = np.linalg.eigh(cov)
+        lift = (v / np.maximum(w, 1e-6 * w[-1])) @ v.T
+        members[j, idx] = True
+        information[j, idx[:, None], idx] = 0.5 * (inv + inv.T)
+        lifted[j, idx[:, None], idx] = 0.5 * (lift + lift.T)
+    return np.array(usable, dtype=int), members, information, lifted
+
+
+def _near_collinear(rho):
+    cov = np.array([[1.0, rho, 0.5], [rho, 1.0, 0.3], [0.5, 0.3, 1.0]])
+    return enumerate_groups(ModelSet([4.0, 2.0, 1.0])), CovarianceStore(cov[None])
+
+
+def _rank_deficient():
+    a = np.random.default_rng(3).standard_normal((5, 3))
+    known = np.ones((5, 5), dtype=bool)
+    known[1, 3] = known[3, 1] = False
+    gs = enumerate_groups(ModelSet([16.0, 8.0, 4.0, 2.0, 1.0]), kappa=5)
+    return gs, CovarianceStore((a @ a.T)[None], known=known[None])
+
+
+def _two_outputs():
+    b = np.random.default_rng(5).standard_normal((2, 3, 5))
+    models = ModelSet([4.0, 2.0, 1.0], outputs=[[1, 2], [1], [1, 2]])
+    return enumerate_groups(models), CovarianceStore(b @ b.transpose(0, 2, 1))
+
+
+def _ladder():
+    models = ModelSet(4.0 ** np.arange(11, -1, -1))
+    store = SyntheticSuite.random(12, 1, seed=3).exact_store()
+    return enumerate_groups(models, kappa=3), store
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _near_collinear(1.0 - 1e-10),
+    lambda: _near_collinear(1.0 - 1e-13),
+    lambda: _near_collinear(1.0),
+    lambda: _near_collinear(-1.0 + 1e-12),
+    _rank_deficient,
+    _two_outputs,
+    _ladder,
+], ids=["rho-1e-10", "rho-1e-13", "rho-1", "rho+1e-12", "rank-deficient",
+        "two-outputs", "ladder-12"])
+def test_stacks_bit_identical_to_group_by_group_build(case):
+    gs, store = case()
+    for s in range(1, store.num_outputs + 1):
+        system = BlueSystem.from_covariance(gs, store, output=s)
+        expect = _group_by_group_stacks(gs, store, s)
+        got = (system.group_indices, system.members, system.information,
+               system.lifted)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_stacks_match_dense_group_reference():

@@ -137,6 +137,18 @@ def test_contains_highfi_and_mask():
     assert np.array_equal(gs.per_output_allowed[0] & gs.contains_highfi(), expect)
 
 
+def test_members_matrix_matches_groups_and_is_read_only():
+    models = all_output_modelset([4.0, 2.0, 1.0, 0.5])
+    gs = enumerate_groups(models, kappa=3, deny_list=[(2, 3)])
+    assert gs.members.shape == (gs.num_groups, 4)
+    assert gs.members.dtype == bool
+    for row, group in zip(gs.members, gs.groups):
+        assert tuple(np.flatnonzero(row) + 1) == group
+    assert not gs.members.flags.writeable
+    with pytest.raises(ValueError):
+        gs.members[0, 0] = False
+
+
 def test_group_lookup_roundtrip():
     models = ModelSet(np.ones(6))
     gs = enumerate_groups(models, kappa=3)

@@ -54,6 +54,9 @@ __all__ = [
 _PRUNE_REL = 1e-9
 # tau = 0 would leave pareto mode unbounded; cap the cost instead
 _PARETO_COST_CAP = 1e12
+# a pareto point lies on the optimal ray when it clears every linear row by
+# this many times the solver's gap tolerance, relative (see pareto_sweep)
+_RAY_SLACK = 100.0
 # integer projection enumerates the roundings of at most this many entries
 _ENUMERATION_CAP = 20
 # projection candidates scored per batch: the per-batch stacks stay near
@@ -519,6 +522,17 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
     )
 
 
+def _ray_slack(spec: MosapSpec, n: np.ndarray, margin: float) -> bool:
+    """Whether n clears each linear row of the pareto SDP by ``margin``,
+    relative: every output's anchor sum, the caps, and the cost cap as
+    ``_build`` writes it (in costs normalized by the largest)."""
+    costs_n = spec.group_costs / np.max(spec.group_costs)
+    rows = [(-n[s.anchor_mask].sum(), -1.0) for s in spec.systems]
+    rows += [(coeffs @ n, bound) for coeffs, bound in spec.extra_linear]
+    rows.append((costs_n @ n, _PARETO_COST_CAP * np.min(costs_n)))
+    return all(value < bound - margin * abs(bound) for value, bound in rows)
+
+
 def pareto_sweep(
     spec: MosapSpec, tau_tilde_values, settings: SdpSettings | None = None
 ):
@@ -529,16 +543,51 @@ def pareto_sweep(
     tau_tilde, with the allocation, cost, worst variance, and the
     normalized error max_s sqrt(V_s / V[model 1, output s]). Solver
     failures are recorded on the affected record and the sweep continues.
+
+    Points on the optimal ray are placed, not solved. Psi_s is linear in n,
+    so V_s(a n) = V_s(n) / a and cost(a n) = a cost(n): without its linear
+    rows the problem is homogeneous, and its minimizer at tau is
+    n(tau_src) * sqrt(tau_src / tau). A convex optimum stays optimal when
+    inactive rows are dropped, so if a solve at tau_src > 0 is optimal with
+    every row slack, each ray point whose rows are still slack is optimal
+    for the full problem. A row is slack when it is cleared by
+    ``_RAY_SLACK`` times the gap tolerance, relative, since a solve can
+    leave a binding row inside its bound by an amount that grows with that
+    tolerance. The grid is walked from the largest tau down and the source
+    is the last such solve: there the solver's gap is relative rather than
+    absolute (objectives above 1), it converges in fewer iterations, and
+    the anchor rows that bind at large tau only loosen along the ray. A
+    placed record's variances and objective are recomputed at its
+    allocation; it carries ``solver_iterations`` 0 and the source's status
+    and gap. Every other point is solved.
     """
     if spec.mode != "pareto":
         raise ValueError("pareto_sweep needs a pareto-mode spec")
     v1 = [s.highfi_variance for s in spec.systems]
     records = []
-    for tau_tilde in sorted(float(t) for t in tau_tilde_values):
+    margin = _RAY_SLACK * (settings or SdpSettings()).gap_tol
+    source = None  # (tau, allocation) the ray starts from
+    for tau_tilde in sorted((float(t) for t in tau_tilde_values), reverse=True):
         tau = scale_free_tau(tau_tilde, spec.group_costs)
+        point = replace(spec, tau=tau)
         record = {"tau_tilde": tau_tilde, "tau": tau}
         try:
-            alloc = solve_mosap(replace(spec, tau=tau), settings)
+            n = None
+            if source is not None and tau > 0:
+                n = source[1].n * math.sqrt(source[0] / tau)
+            if n is not None and _ray_slack(spec, n, margin):
+                variances = _variances(point, n)
+                alloc = replace(
+                    source[1], n=n, per_output_variance=variances,
+                    total_cost=float(spec.group_costs @ n),
+                    objective_value=_objective_of(point, n, variances),
+                    solver_iterations=0,
+                )
+            else:
+                alloc = solve_mosap(point, settings)
+                if (tau > 0 and alloc.solver_status == "optimal"
+                        and _ray_slack(spec, alloc.n, margin)):
+                    source = (tau, alloc)
             record.update(
                 allocation=alloc,
                 cost=alloc.total_cost,
@@ -549,4 +598,4 @@ def pareto_sweep(
         except (RuntimeError, ValueError, IllPosedError) as exc:
             record.update(status="failed", error=str(exc))
         records.append(record)
-    return records
+    return records[::-1]

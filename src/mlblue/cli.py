@@ -53,6 +53,9 @@ def _load(args):
 
 
 def _settings(args):
+    for flag, value in (("--gap-tol", args.gap_tol), ("--feastol", args.feastol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(flag, "must be a finite number > 0")
     return SdpSettings(gap_tol=args.gap_tol, feas_tol=args.feastol)
 
 

@@ -10,6 +10,7 @@ from mlblue.allocate import (
     Allocation,
     MosapSpec,
     _integer_feasible,
+    _ray_slack,
     integer_projection,
     pareto_sweep,
     solve_mosap,
@@ -18,6 +19,8 @@ from mlblue.allocate import (
 from mlblue.covariance import CovarianceStore
 from mlblue.estimator import assemble_psi, blue_variance, null_space_basis
 from mlblue.models import ModelSet, enumerate_groups
+from mlblue.sdp import SdpSettings
+from mlblue.synthetic import SyntheticSuite
 
 from conftest import all_output_modelset, random_spd
 
@@ -424,6 +427,140 @@ def test_pareto_large_tau_single_cheapest_sample():
     others = np.ones(gs.num_groups, dtype=bool)
     others[cheapest] = False
     assert np.abs(n[others]).max() < 1e-5
+
+
+def suite_pareto_spec(suite, costs, kappa=None, caps=()):
+    """A pareto spec over every group of the suite's models; ``caps`` holds
+    (model index, cap) pairs on the samples of each model."""
+    gs = enumerate_groups(all_output_modelset(costs, suite.num_outputs),
+                          kappa=kappa)
+    extra = tuple((gs.members[:, i].astype(float), cap) for i, cap in caps)
+    return MosapSpec(mode="pareto", groups=gs,
+                     systems=systems_from_store(gs, suite.exact_store()),
+                     tau=1.0, extra_linear=extra)
+
+
+RAY_SWEEP = [10.0 ** i for i in range(-7, 5)]
+RAY_CASES = {
+    "random-10x1": lambda: suite_pareto_spec(
+        SyntheticSuite.random(10, 1, seed=1), 4.0 ** np.arange(9, -1, -1), 3),
+    "random-9x2": lambda: suite_pareto_spec(
+        SyntheticSuite.random(9, 2, seed=1), 4.0 ** np.arange(8, -1, -1), 3),
+    "hierarchy": lambda: suite_pareto_spec(
+        SyntheticSuite.hierarchy(4, 1, rate=2.0, strength=0.25),
+        4.0 ** np.arange(4, 0, -1)),
+    # model 3's cap binds at tau_tilde <= 1e-4 and is slack from 1e-3 on
+    "capped": lambda: suite_pareto_spec(
+        SyntheticSuite.hierarchy(4, 1, rate=2.0, strength=0.25),
+        4.0 ** np.arange(4, 0, -1), caps=((2, 200.0),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_CASES))
+def test_pareto_ray_points_match_per_point_solves(name):
+    spec = RAY_CASES[name]()
+    records = pareto_sweep(spec, RAY_SWEEP)
+    assert all(r["status"] == "optimal" for r in records)
+    allocs = [r["allocation"] for r in records]
+    placed = [i for i, a in enumerate(allocs) if a.solver_iterations == 0]
+    margin = allocate._RAY_SLACK * SdpSettings().gap_tol
+    sources = [i for i, a in enumerate(allocs) if a.solver_iterations > 0
+               and _ray_slack(spec, a.n, margin)]
+    assert placed
+    for i in placed:
+        # the source is the nearest larger tau solved with every row slack
+        src = min(j for j in sources if j > i)
+        scale = np.sqrt(records[src]["tau"] / records[i]["tau"])
+        assert np.array_equal(allocs[i].n, allocs[src].n * scale)
+        assert allocs[i].solver_status == allocs[src].solver_status
+        assert allocs[i].solver_gap == allocs[src].solver_gap
+        # never worse than the per-point solve, and equal to a tight one:
+        # below objective 1 the solver's gap test is absolute, so at the
+        # smallest tau a default per-point solve can be 1e-6 worse
+        point = replace(spec, tau=records[i]["tau"])
+        fresh = solve_mosap(point)
+        assert allocs[i].objective_value <= fresh.objective_value * (1 + 1e-6)
+        tight = solve_mosap(point, SdpSettings(gap_tol=1e-10))
+        assert tight.solver_status == "optimal"
+        assert allocs[i].objective_value == pytest.approx(
+            tight.objective_value, rel=1e-6)
+    costs = np.array([r["cost"] for r in records])
+    variances = np.array([r["variance"] for r in records])
+    assert np.all(np.diff(costs) <= costs[:-1] * 1e-6)
+    assert np.all(np.diff(variances) >= -variances[:-1] * 1e-6)
+    if name == "capped":
+        # the ray runs down from the first slack solve (tau_tilde 1) and
+        # stops where the cap binds: those points are solved, cap-tight
+        assert placed == [4, 5, 6] and min(sources) == 7
+        cap_row, cap = spec.extra_linear[0]
+        for a in allocs[:4]:
+            assert cap_row @ a.n == pytest.approx(cap, rel=1e-6)
+        return
+    small = records[:4]
+    slope = np.polyfit(np.log([r["cost"] for r in small]),
+                       np.log([r["normalized_error"] for r in small]), 1)[0]
+    assert slope == pytest.approx(-0.5, abs=1e-3)
+
+
+def test_pareto_loose_gap_keeps_anchor_bound_points_off_the_ray():
+    # at gap_tol 1e-3 the anchor-bound solve at tau_tilde 10 leaves its
+    # anchor sum 1.1e-5 above 1; a fixed margin of 1e-6 took it for a
+    # source and placed points 29 % above their optimum
+    spec = RAY_CASES["hierarchy"]()
+    loose = SdpSettings(gap_tol=1e-3)
+    records = pareto_sweep(spec, RAY_SWEEP, loose)
+    assert records[8]["allocation"].solver_iterations > 0
+    for r in records:
+        if r["allocation"].solver_iterations == 0:
+            tight = solve_mosap(replace(spec, tau=r["tau"]),
+                                SdpSettings(gap_tol=1e-10))
+            assert r["allocation"].objective_value == pytest.approx(
+                tight.objective_value, rel=1e-3)
+
+
+def test_pareto_cost_capped_point_is_solved():
+    spec = RAY_CASES["random-9x2"]()
+    records = pareto_sweep(spec, [1e-300, 1e-6, 1e-5])
+    capped, placed, source = (r["allocation"] for r in records)
+    assert source.solver_iterations > 0 and placed.solver_iterations == 0
+    scale = np.sqrt(records[2]["tau"] / records[1]["tau"])
+    assert np.array_equal(placed.n, source.n * scale)
+    # the ray would pass the cost cap at tau_tilde 1e-300, so it is solved
+    alone = solve_mosap(replace(spec, tau=records[0]["tau"]))
+    assert np.array_equal(capped.n, alone.n)
+    cap = allocate._PARETO_COST_CAP * np.min(spec.group_costs)
+    assert capped.total_cost == pytest.approx(cap, rel=1e-4)
+
+
+def test_pareto_tau_zero_is_solved():
+    spec = RAY_CASES["hierarchy"]()
+    records = pareto_sweep(spec, [0.0, 0.0, 1e-3, 1e-2])
+    assert [r["tau"] for r in records[:2]] == [0.0, 0.0]
+    assert all(r["status"] == "optimal" for r in records)
+    iterations = [r["allocation"].solver_iterations for r in records]
+    assert iterations[0] > 0 and iterations[1] > 0 and iterations[3] > 0
+    assert iterations[2] == 0
+
+
+def test_pareto_unconverged_points_are_not_placed():
+    spec = RAY_CASES["hierarchy"]()
+    settings = SdpSettings(max_iter=3)
+    records = pareto_sweep(spec, RAY_SWEEP, settings)
+    for r in records:
+        alone = solve_mosap(replace(spec, tau=r["tau"]), settings)
+        assert r["status"] == alone.solver_status != "optimal"
+        assert r["allocation"].solver_iterations == alone.solver_iterations
+
+
+def test_pareto_duplicate_tau_is_placed_with_scale_one():
+    spec = RAY_CASES["hierarchy"]()
+    placed, solved = sorted(pareto_sweep(spec, [1e-3, 1e-3]),
+                            key=lambda r: r["allocation"].solver_iterations)
+    assert placed["allocation"].solver_iterations == 0
+    assert solved["allocation"].solver_iterations > 0
+    assert np.array_equal(placed["allocation"].n, solved["allocation"].n)
+    assert placed["cost"] == solved["cost"]
+    assert placed["variance"] == solved["variance"]
 
 
 def test_pareto_mode_required_for_sweep():

@@ -221,6 +221,17 @@ def test_pareto_unreachable_gap_exits_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize("flag", ["--gap-tol", "--feastol"])
+def test_bad_solver_tolerance_exits_2(tmp_path, capsys, flag, value):
+    path = budget_config(tmp_path,
+                         mode={"type": "pareto", "sweep": [0.5, 0.05]})
+    rc = main(["pareto", "--config", path, flag, value])
+    assert rc == 2
+    assert (f"config error: {flag}: must be a finite number > 0"
+            in capsys.readouterr().err)
+
+
 def test_pareto_needs_pareto_mode(tmp_path, capsys):
     rc = main(["pareto", "--config", budget_config(tmp_path)])
     assert rc == 2

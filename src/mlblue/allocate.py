@@ -319,23 +319,25 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
 
     The per-output variances on the result are recomputed from the
     estimator-side matrices at the returned allocation; the SDP's own
-    variance variable is only used as the optimization handle.
+    variance variable is only used as the optimization handle. Every
+    failure past the budget check is the solver's and raises RuntimeError.
     """
     _feasibility_check(spec)
     # an overflow shows as a non-finite value, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):
-        problem, alloc_scale = _build(spec)
         try:
+            problem, alloc_scale = _build(spec)
             sol = solve_sdp(problem, settings)
-        except ValueError as exc:  # a non-finite iterate, or a LinAlgError
+            if sol.status == "infeasible":
+                raise RuntimeError("allocation SDP is infeasible")
+            n = _sanitize(spec, sol.x, alloc_scale)
+            total_cost = float(spec.group_costs @ n)
+            if not np.isfinite(total_cost):
+                raise RuntimeError("allocation SDP failed: the allocation's cost overflows")
+            variances = _variances(spec, n)
+        # a non-finite iterate, a LinAlgError, or an allocation the estimator cannot use
+        except (ValueError, IllPosedError) as exc:
             raise RuntimeError(f"allocation SDP failed: {exc}") from exc
-        if sol.status == "infeasible":
-            raise RuntimeError("allocation SDP is infeasible")
-        n = _sanitize(spec, sol.x, alloc_scale)
-        total_cost = float(spec.group_costs @ n)
-    if not np.isfinite(total_cost):
-        raise RuntimeError("allocation SDP failed: the allocation's cost overflows")
-    variances = _variances(spec, n)
     return Allocation(
         mode=spec.mode,
         n=n,

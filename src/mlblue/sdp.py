@@ -14,8 +14,10 @@ keeps the Schur complement symmetric positive definite, so each iteration
 is one Cholesky factorization of it plus small dense eigen/SVD work per
 block. The NT scaling of a block reuses the Cholesky factors of S and Z
 that the step search (or the starting point) computed when it accepted
-them, and each block's maps are single products over its coefficients
-laid out as a (k, p*p) matrix.
+them. Each block's coefficients are lifted once per solve to all d
+variables, with zeros for those it does not use, so each of its maps is one
+product over all of x and nothing is gathered or scattered; x >= 0 enters
+every product as -I and the Schur complement as a diagonal.
 
 The method starts infeasible (identity-scaled cone points) and drives
 primal residual, dual residual, and duality gap below the configured
@@ -85,14 +87,11 @@ class PsdBlock:
 
     The map's value is constrained to the PSD cone. Coefficients must be
     symmetric; only the variables actually appearing in the block are listed.
-    The symmetrized coefficients are stored once, C-contiguous, and ``flat``
-    is their (k, p*p) view: each map below is one product over it.
     """
 
     constant: np.ndarray  # (p, p)
     var_indices: np.ndarray  # (k,) int
-    coefficients: np.ndarray  # (k, p, p)
-    flat: np.ndarray  # (k, p*p), a view of coefficients
+    coefficients: np.ndarray  # (k, p, p), symmetrized
 
     def __init__(self, constant, var_indices, coefficients):
         constant = np.asarray(constant, dtype=float)
@@ -111,29 +110,14 @@ class PsdBlock:
         asym = np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0)
         if asym > 1e-12 * max(np.abs(stack).max(initial=0.0), 1.0):
             raise ValueError("block matrices must be symmetric")
-        coefficients = np.ascontiguousarray(0.5 * (coefficients + coefficients.transpose(0, 2, 1)))
+        coefficients = 0.5 * (coefficients + coefficients.transpose(0, 2, 1))
         object.__setattr__(self, "constant", _sym(constant))
         object.__setattr__(self, "var_indices", var_indices)
         object.__setattr__(self, "coefficients", coefficients)
-        # not reshape(k, -1): that cannot infer the width when k = 0
-        object.__setattr__(self, "flat", coefficients.reshape(var_indices.size, p * p))
 
     @property
     def order(self) -> int:
         return self.constant.shape[0]
-
-    def apply(self, x) -> np.ndarray:
-        """Linear part A(x) = sum_j x[var_indices[j]] * coefficients[j]."""
-        return (np.asarray(x)[self.var_indices] @ self.flat).reshape(self.constant.shape)
-
-    def adjoint(self, z) -> np.ndarray:
-        """A*(Z) = (<coefficients[j], Z>)_j, over the block's own variables."""
-        return self.flat @ z.ravel()
-
-    def schur(self, winv) -> np.ndarray:
-        """Schur term tr(F_i Winv F_j Winv) for each pair of block variables."""
-        t = np.matmul(winv, np.matmul(self.coefficients, winv))
-        return self.flat @ t.reshape(self.flat.shape).T
 
 
 @dataclass(frozen=True)
@@ -165,10 +149,6 @@ class SdpProblem:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "ineq_matrix", ineq_matrix)
         object.__setattr__(self, "ineq_rhs", ineq_rhs)
-
-    @property
-    def num_vars(self) -> int:
-        return self.objective.size
 
 
 @dataclass(frozen=True)
@@ -221,6 +201,43 @@ def _factors(mats):
     return [np.linalg.cholesky(_finite(m)) for m in mats]
 
 
+def _lift(block, d):
+    """(d, p*p) matrix whose row i is F_i raveled, zero where i is unused."""
+    p = block.order
+    lifted = np.zeros((d, p * p))
+    lifted[block.var_indices] = block.coefficients.reshape(-1, p * p)
+    return lifted
+
+
+def _apply(flat, x, shape):
+    """A_b(x) = sum_i x_i F_i of a lifted block, as a matrix of the given shape."""
+    return (x @ flat).reshape(shape)
+
+
+def _adjoint(lifted, ineq, base, mats, lp_vec):
+    """base + sum_b A_b*(mats[b]) - [G; -I]' lp_vec, x >= 0 last in lp_vec."""
+    out = base.copy()
+    for flat, m in zip(lifted, mats):
+        out += flat @ m.ravel()
+    out -= ineq.T @ lp_vec[: ineq.shape[0]]
+    out += lp_vec[ineq.shape[0]:]
+    return out
+
+
+def _schur_matrix(lifted, winvs, ineq, w_lp):
+    """M = sum_b [tr(F_i W_b F_j W_b)]_ij + [G; -I]' diag(w_lp) [G; -I].
+
+    One product per block: merging the blocks into one larger product woke
+    a second BLAS thread and cost CPU time.
+    """
+    m_ineq = ineq.shape[0]  # x >= 0 adds the diagonal w_lp[m_ineq:]
+    m = (ineq * w_lp[:m_ineq, None]).T @ ineq + np.diag(w_lp[m_ineq:])
+    for flat, winv in zip(lifted, winvs):
+        t = np.matmul(winv, np.matmul(flat.reshape(-1, *winv.shape), winv))
+        m += flat @ t.reshape(flat.shape).T
+    return m
+
+
 def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSolution:
     """Solve the block SDP; see the module docstring for the problem form.
 
@@ -231,21 +248,14 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     """
     cfg = settings or SdpSettings()
     blocks = problem.blocks
-    d = problem.num_vars
+    d = problem.objective.size
     b_vec = -problem.objective  # internal form maximizes b'x
-    # fold x >= 0 into the LP rows: slack vector is (g - Gx, x)
-    lp_rows = np.vstack([problem.ineq_matrix, -np.eye(d)])
+    ineq = problem.ineq_matrix
+    # the LP rows are [G; -I], x >= 0 last: slack vector is (g - Gx, x)
     lp_rhs = np.concatenate([problem.ineq_rhs, np.zeros(d)])
     cone_dim = sum(b.order for b in blocks) + lp_rhs.size
     constants = [b.constant for b in blocks]
-
-    def scatter_adjoint(base, mats, lp_vec):
-        """base + A*(mats) - G' lp_vec, summed over every block."""
-        out = base.copy()
-        for blk, m in zip(blocks, mats):
-            out[blk.var_indices] += blk.adjoint(m)
-        out -= lp_rows.T @ lp_vec
-        return out
+    lifted = [_lift(b, d) for b in blocks]
 
     # identity-scaled starting point, sized from the data norms
     x = np.zeros(d)
@@ -264,7 +274,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         Z.append(z_scale * np.eye(p))
     # Cholesky factors of S and Z, refreshed by every accepted step
     chol_s, chol_z = _factors(S), _factors(Z)
-    row_scale = np.abs(lp_rows).max(axis=1, initial=0.0)
+    row_scale = np.concatenate([np.abs(ineq).max(axis=1, initial=0.0), np.ones(d)])
     s_lp = np.maximum(10.0, np.maximum(np.abs(lp_rhs), row_scale))
     z_lp = np.full(
         lp_rhs.size, max(10.0, (1.0 + np.abs(b_vec).max()) / (1.0 + max(row_scale.max(initial=0.0), 1.0)))
@@ -278,9 +288,9 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     status = "max_iter"
     for it in range(cfg.max_iter + 1):
         # residuals of the current iterate
-        rp = scatter_adjoint(b_vec, Z, z_lp)
-        rd_blocks = [c + blk.apply(x) - sb for c, blk, sb in zip(constants, blocks, S)]
-        rd_lp = lp_rhs - s_lp - lp_rows @ x
+        rp = _adjoint(lifted, ineq, b_vec, Z, z_lp)
+        rd_blocks = [c + _apply(flat, x, c.shape) - sb for c, flat, sb in zip(constants, lifted, S)]
+        rd_lp = lp_rhs - s_lp - np.concatenate([ineq @ x, -x])
 
         gap = _inner(Z, z_lp, S, s_lp)
         pobj = _inner(constants, lp_rhs, Z, z_lp)
@@ -321,10 +331,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         except np.linalg.LinAlgError:
             break  # cone point lost definiteness beyond repair; report best
 
-        # Schur complement M_ij = sum_blocks tr(F_i Winv F_j Winv) + LP part
-        M = (lp_rows * (z_lp / s_lp)[:, None]).T @ lp_rows
-        for blk, winv in zip(blocks, Winv_list):
-            M[np.ix_(blk.var_indices, blk.var_indices)] += blk.schur(winv)
+        w_lp = z_lp / s_lp
+        M = _schur_matrix(lifted, Winv_list, ineq, w_lp)
         # per block: Winv Rd Winv, reused in both rhs passes
         winv_rd = [winv @ rd @ winv for winv, rd in zip(Winv_list, rd_blocks)]
         # invert the Cholesky factor of M (plus ridge) once, so that each
@@ -353,21 +361,21 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
 
         def solve_direction(ecc_blocks, ecc_lp):
             """Newton step from scaled-space complementarity targets."""
-            rhs = scatter_adjoint(
-                rp,
+            rhs = _adjoint(
+                lifted, ineq, rp,
                 [ecc - wrd for ecc, wrd in zip(ecc_blocks, winv_rd)],
-                ecc_lp - (z_lp / s_lp) * rd_lp,
+                ecc_lp - w_lp * rd_lp,
             )
             # without two refinement rounds the direction error re-injects primal
             # residual near convergence and the iteration stalls above feas_tol
             dx = m_solve(rhs, 2)
             ds_blocks, dz_blocks = [], []
-            for blk, ecc, winv, rd in zip(blocks, ecc_blocks, Winv_list, rd_blocks):
-                dsb = rd + blk.apply(dx)
+            for flat, ecc, winv, rd in zip(lifted, ecc_blocks, Winv_list, rd_blocks):
+                dsb = rd + _apply(flat, dx, rd.shape)
                 ds_blocks.append(_sym(dsb))
                 dz_blocks.append(_sym(ecc - winv @ dsb @ winv))
-            ds_lp = rd_lp - lp_rows @ dx
-            dz_lp = ecc_lp - (z_lp / s_lp) * ds_lp
+            ds_lp = rd_lp - np.concatenate([ineq @ dx, -dx])
+            dz_lp = ecc_lp - w_lp * ds_lp
             return dx, ds_blocks, dz_blocks, ds_lp, dz_lp
 
         def boundary_steps(ds_blocks, dz_blocks, ds_lp, dz_lp):
@@ -410,17 +418,17 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         # cS = A(cx), cZ = -Winv cS Winv cancels in the scaled
         # complementarity equation, so only the primal equation moves.
         for _ in range(2):
-            defect = scatter_adjoint(rp, dz_blocks, dz_lp)
+            defect = _adjoint(lifted, ineq, rp, dz_blocks, dz_lp)
             if np.linalg.norm(defect) <= 1e-15 * norm_b:
                 break
             cx = m_solve(defect, 1)
-            for i, (blk, winv) in enumerate(zip(blocks, Winv_list)):
-                csb = _sym(blk.apply(cx))
+            for i, (flat, winv) in enumerate(zip(lifted, Winv_list)):
+                csb = _sym(_apply(flat, cx, winv.shape))
                 ds_blocks[i] = ds_blocks[i] + csb
                 dz_blocks[i] = dz_blocks[i] - _sym(winv @ csb @ winv)
-            cs_lp = -(lp_rows @ cx)
+            cs_lp = np.concatenate([-(ineq @ cx), cx])
             ds_lp = ds_lp + cs_lp
-            dz_lp = dz_lp - (z_lp / s_lp) * cs_lp
+            dz_lp = dz_lp - w_lp * cs_lp
             dx = dx + cx
         a_z, a_s, _ = boundary_steps(ds_blocks, dz_blocks, ds_lp, dz_lp)
         a_z = min(1.0, _STEP_SCALE * a_z)

@@ -121,6 +121,31 @@ def test_solver_overflow_exits_3(tmp_path, capsys, costs, mode):
         assert "Infinity" not in text and "NaN" not in text
 
 
+@pytest.mark.parametrize("eps2", [1e-310, 5e-324])
+def test_subnormal_tolerance_is_a_solver_failure(tmp_path, capsys, eps2):
+    # schema-valid subnormal tolerances overflow the SDP's scaling; the
+    # LinAlgError that follows is the solver's, not a config error
+    path = write_config(tmp_path, {
+        "models": {"costs": [1e300, 8e299, 1e299]},
+        "synthetic": {"hierarchy": {"rate": 2.0, "strength": 0.05}},
+        "covariance": {"type": "synthetic"},
+        "groups": {"kappa": 3},
+        "mode": {"type": "tolerance", "eps2": eps2},
+        "seed": 7,
+    })
+    out_path = tmp_path / "out.json"
+    assert main(["allocate", "--config", path, "--output", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("solver failure: allocation SDP failed: ")
+    outputs = [captured.out, captured.err]
+    if out_path.exists():
+        outputs.append(out_path.read_text())
+    for text in outputs:
+        assert "Infinity" not in text and "NaN" not in text
+
+
 def test_pareto_allocation_is_scale_free(tmp_path, capsys):
     # tau = tau_tilde / ||c||, so scaling every cost leaves the allocation
     # alone, also where the squares in ||c|| overflow (from about 1e154 on),

@@ -57,3 +57,19 @@ def test_bool_against_number_is_a_difference():
     assert max_rel_diff(True, 1) == (math.inf, "/")
     assert max_rel_diff({"x": 0}, {"x": False}) == (math.inf, "/x/")
     assert max_rel_diff(True, True) == (0.0, "/")
+
+
+def test_skipped_members_leave_the_answers_difference():
+    # a solver change moves its final gap far more than the answers; with
+    # the solver objects skipped, the answers' own difference shows, also
+    # where they sit deeper in the tree, as in a pareto output
+    tree = dict(TREE, solver={"iterations": 40, "gap": 1e-9})
+    changed = dict(tree, total_cost=2000.002, solver={"iterations": 40, "gap": 2e-9})
+    assert max_rel_diff(tree, changed) == (0.5, "/solver/gap/")
+    diff, path = max_rel_diff(tree, changed, skip={"solver"})
+    assert diff == pytest.approx(0.002 / 2000.002) and path == "/total_cost/"
+    points = {"points": [tree, changed]}
+    assert max_rel_diff({"points": [tree, tree]}, points, skip={"solver"}) == (
+        pytest.approx(0.002 / 2000.002), "/points/1/total_cost/")
+    # a skipped member still has to exist on both sides
+    assert max_rel_diff(tree, TREE, skip={"solver"}) == (math.inf, "/")

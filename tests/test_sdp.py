@@ -9,6 +9,10 @@ from mlblue.sdp import (
     PsdBlock,
     SdpProblem,
     SdpSettings,
+    _adjoint,
+    _apply,
+    _lift,
+    _schur_matrix,
     _tril_inv,
     solve_sdp,
     verify_schur_feasibility,
@@ -233,13 +237,33 @@ def test_symmetry_validation_rejects_bad_blocks():
         )
 
 
-def random_block(rng, p=5, num_vars=7, k=4):
+def random_block(rng, p=5, num_vars=7, k=4, var_indices=None):
     const = rng.standard_normal((p, p))
     coeffs = rng.standard_normal((k, p, p))
-    var_indices = rng.choice(num_vars, size=k, replace=False)
+    if var_indices is None:
+        var_indices = rng.choice(num_vars, size=k, replace=False)
     return PsdBlock(
         const + const.T, var_indices, coeffs + coeffs.transpose(0, 2, 1)
     )
+
+
+def dense_coefficients(blk, d):
+    """F_i for every variable i < d, the zero matrix where blk has none."""
+    p = blk.order
+    dense = [np.zeros((p, p)) for _ in range(d)]
+    for j, f in zip(blk.var_indices, blk.coefficients):
+        dense[j] = f
+    return dense
+
+
+def block_schur(blk, d, winv):
+    """The solver's Schur term of one block alone, with no LP weight."""
+    return _schur_matrix([_lift(blk, d)], [winv], np.zeros((0, d)), np.zeros(d))
+
+
+def block_adjoint(blk, d, z):
+    """The solver's adjoint of one block alone, with no LP part."""
+    return _adjoint([_lift(blk, d)], np.zeros((0, d)), np.zeros(d), [z], np.zeros(d))
 
 
 # (order, variables) of the tested blocks; k = 0 is a block with no variable
@@ -259,12 +283,12 @@ def check_block_map_and_adjoint(rng, p, k):
     z = z + z.T
     dense = sum((x[v] * f for v, f in zip(blk.var_indices, blk.coefficients)),
                 np.zeros((p, p)))
-    assert np.allclose(blk.apply(x), dense, rtol=1e-13, atol=1e-13)
-    adj = np.zeros(7)
-    adj[blk.var_indices] = blk.adjoint(z)
+    applied = _apply(_lift(blk, 7), x, (p, p))
+    assert np.allclose(applied, dense, rtol=1e-13, atol=1e-13)
+    adj = block_adjoint(blk, 7, z)
     # <A(x), Z> = x' A*(Z)
-    assert np.sum(blk.apply(x) * z) == pytest.approx(x @ adj, rel=1e-12)
-    for j, f in zip(blk.var_indices, blk.coefficients):
+    assert np.sum(applied * z) == pytest.approx(x @ adj, rel=1e-12)
+    for j, f in enumerate(dense_coefficients(blk, 7)):
         assert adj[j] == pytest.approx(np.trace(f @ z), rel=1e-12)
 
 
@@ -278,32 +302,81 @@ def check_block_schur_term(rng, p, k):
     blk = random_block(rng, p=p, k=k)
     a = rng.standard_normal((p, 7))
     w = a @ a.T
-    ref = np.array([
-        [np.trace(fi @ w @ fj @ w) for fj in blk.coefficients]
-        for fi in blk.coefficients
-    ]).reshape(k, k)
-    got = blk.schur(w)
-    assert got.shape == (k, k)
+    dense = dense_coefficients(blk, 7)
+    ref = np.array([[np.trace(fi @ w @ fj @ w) for fj in dense] for fi in dense])
+    got = block_schur(blk, 7, w)
+    assert got.shape == (7, 7)
     assert np.allclose(got, ref, rtol=1e-12,
                        atol=1e-12 * np.abs(ref).max(initial=0.0))
 
 
 @pytest.mark.parametrize("p, k", BLOCK_SHAPES)
 def test_block_maps_equal_tensordot_forms(p, k):
-    # the (k, p*p) products must give the bits of the tensordot forms the
-    # block maps were first written with, the solver's answers depend on them
+    # a block over variables 0..d-1 in order lifts to its own coefficient
+    # matrix, so the lifted products must give the bits of the tensordot
+    # forms the block maps were first written with; the solver's answers
+    # depend on them
     rng = np.random.default_rng(43)
-    blk = random_block(rng, p=p, k=k)
+    blk = random_block(rng, p=p, k=k, var_indices=np.arange(k))
     coeffs = blk.coefficients
-    x = rng.standard_normal(7)
+    lifted = _lift(blk, k)
+    x = rng.standard_normal(k)
     z = rng.standard_normal((p, p))
     z = z + z.T
     a = rng.standard_normal((p, p + 2))
     winv = a @ a.T
     t = np.matmul(winv, np.matmul(coeffs, winv))
     assert np.array_equal(
-        blk.apply(x), np.tensordot(x[blk.var_indices], coeffs, axes=(0, 0)))
+        _apply(lifted, x, (p, p)), np.tensordot(x, coeffs, axes=(0, 0)))
     assert np.array_equal(
-        blk.adjoint(z), np.tensordot(coeffs, z, axes=([1, 2], [0, 1])))
+        block_adjoint(blk, k, z), np.tensordot(coeffs, z, axes=([1, 2], [0, 1])))
     assert np.array_equal(
-        blk.schur(winv), np.tensordot(coeffs, t, axes=([1, 2], [1, 2])))
+        block_schur(blk, k, winv), np.tensordot(coeffs, t, axes=([1, 2], [1, 2])))
+
+
+def test_schur_matrix_and_adjoint_match_dense_reference_and_lp_rows():
+    # two blocks over different variable subsets, one with no variable, and
+    # two inequality rows; x >= 0 enters as a diagonal, not as rows of -I
+    rng = np.random.default_rng(44)
+    d = 7
+    blocks = [random_block(rng, p=4, k=3, var_indices=[5, 0, 2]),
+              random_block(rng, p=3, k=4, var_indices=[1, 2, 6, 3]),
+              random_block(rng, p=2, k=0)]
+    winvs = []
+    for blk in blocks:
+        a = rng.standard_normal((blk.order, blk.order + 3))
+        winvs.append(a @ a.T)
+    ineq = rng.standard_normal((2, d))
+    w_ineq, w_x = rng.uniform(0.1, 2.0, 2), rng.uniform(0.1, 2.0, d)
+    lifted = [_lift(b, d) for b in blocks]
+    got = _schur_matrix(lifted, winvs, ineq, np.concatenate([w_ineq, w_x]))
+
+    ref = ineq.T @ np.diag(w_ineq) @ ineq + np.diag(w_x)
+    for blk, w in zip(blocks, winvs):
+        dense = dense_coefficients(blk, d)
+        ref += np.array([[np.trace(fi @ w @ fj @ w) for fj in dense]
+                         for fi in dense])
+    # the form the solver used to assemble: a Gram product over the stacked
+    # LP rows [G; -I], plus each block's own (k, k) term scattered into place
+    lp_rows = np.vstack([ineq, -np.eye(d)])
+    w_lp = np.concatenate([w_ineq, w_x])
+    gram = (lp_rows * w_lp[:, None]).T @ lp_rows
+    for blk, w in zip(blocks, winvs):
+        idx = blk.var_indices
+        t = np.matmul(w, np.matmul(blk.coefficients, w))
+        gram[np.ix_(idx, idx)] += np.tensordot(
+            blk.coefficients, t, axes=([1, 2], [1, 2]))
+    for other in (ref, gram):
+        assert np.abs(got - other).max() <= 1e-12 * np.abs(other).max()
+
+    # the adjoint: base + sum_b (<F_i, Z_b>)_i - [G; -I]' w, against the
+    # stacked LP rows
+    base = rng.standard_normal(d)
+    zs = [w + np.eye(blk.order) for blk, w in zip(blocks, winvs)]
+    lp_vec = rng.standard_normal(2 + d)
+    adj_ref = base - lp_rows.T @ lp_vec
+    for blk, z in zip(blocks, zs):
+        for i, f in enumerate(dense_coefficients(blk, d)):
+            adj_ref[i] += np.trace(f @ z)
+    adj = _adjoint(lifted, ineq, base, zs, lp_vec)
+    assert np.abs(adj - adj_ref).max() <= 1e-12 * np.abs(adj_ref).max()

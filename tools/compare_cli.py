@@ -9,7 +9,10 @@ PYTHONPATH, in a directory of its own with the same relative file names, so
 the two runs see identical arguments. One line per operation reports whether
 the ``--output`` file, stdout and stderr are byte-identical, both exit codes,
 and the largest relative difference among the numeric fields of the two
-JSON outputs, with the field's path. A last line gives the line count of
+JSON outputs, with the field's path (``max_rel``). ``answers_max_rel`` is the
+same maximum with every ``solver`` object left out, so that a move in the
+allocations, costs or variances is not hidden behind the solver's own
+diagnostics, such as its final gap. A last line gives the line count of
 ``src/mlblue/*.py`` in both trees, as ``wc -l`` counts it.
 
 Exit status 0 when every operation has equal exit codes and console text,
@@ -38,15 +41,16 @@ SEEDS = (1, 2)
 ESTIMATE_RTOL = 1e-12
 
 
-def max_rel_diff(a, b, path="/"):
+def max_rel_diff(a, b, path="/", skip=()):
     """(largest relative difference, JSON path) over the numeric leaves.
 
     A difference in shape, type or any non-numeric value counts as infinite.
+    Object members whose key is in ``skip`` are left out, at any depth.
     """
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             return math.inf, path
-        pairs = [(a[k], b[k], f"{path}{k}/") for k in a]
+        pairs = [(a[k], b[k], f"{path}{k}/") for k in a if k not in skip]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return math.inf, path
@@ -62,7 +66,7 @@ def max_rel_diff(a, b, path="/"):
         return (0.0 if type(a) is type(b) and a == b else math.inf), path
     worst = (0.0, path)
     for x, y, sub in pairs:
-        diff = max_rel_diff(x, y, sub)
+        diff = max_rel_diff(x, y, sub, skip)
         if diff[0] > worst[0]:
             worst = diff
     return worst
@@ -97,12 +101,15 @@ def compare(parent, change):
                                      Path(tmp) / f"{seed}-{inst.name}-{side}")
                             for side, tree in (("parent", parent), ("change", change))]
                     (rc_a, out_a, err_a, file_a), (rc_b, out_b, err_b, file_b) = runs
-                    diff = (0.0, "/")
+                    diff = answers = (0.0, "/")
                     if file_a != file_b:
                         try:
-                            diff = max_rel_diff(json.loads(file_a), json.loads(file_b))
+                            tree_a, tree_b = json.loads(file_a), json.loads(file_b)
                         except (TypeError, ValueError):
-                            diff = (math.inf, "unreadable output")
+                            diff = answers = (math.inf, "unreadable output")
+                        else:
+                            diff = max_rel_diff(tree_a, tree_b)
+                            answers = max_rel_diff(tree_a, tree_b, skip={"solver"})
                     console_same = out_a == out_b and err_a == err_b
                     if inst.command == "estimate":
                         output_ok = diff[0] <= ESTIMATE_RTOL
@@ -112,7 +119,8 @@ def compare(parent, change):
                     print(f"seed {seed} {inst.name:<14} {inst.command:<9} "
                           f"output={'same' if file_a == file_b else 'DIFF'} "
                           f"console={'same' if console_same else 'DIFF'} "
-                          f"rc={rc_a}/{rc_b} max_rel={diff[0]:.3g} at {diff[1]}",
+                          f"rc={rc_a}/{rc_b} max_rel={diff[0]:.3g} at {diff[1]} "
+                          f"answers_max_rel={answers[0]:.3g} at {answers[1]}",
                           flush=True)
     return ok
 

@@ -8,8 +8,11 @@ per output. Sampling goes group by group: each sampled group's stream is
 keyed by (seed, group index) and one generator serves all replications,
 its counter moved to each replication's own block. The synthetic suite
 maps each replication's factor sum through the loadings once instead of
-evaluating every sample. Results depend only on (config, seed), never on
-execution order.
+evaluating every sample, drawing a chunk of replications into one reused
+buffer and summing and mapping the chunk in one call each, with the same
+stream and values as one replication at a time. A group whose samples of
+one replication do not fit in memory is a ConfigError on ``/mode``.
+Results depend only on (config, seed), never on execution order.
 
 The module also owns the on-disk formats: allocation JSON, estimate-report
 JSON, and the Pareto frontier CSV with its fixed header and 17-significant-
@@ -94,10 +97,16 @@ class _CommandEvaluator:
     def draw_sums(self, group, count, seed, group_index, out):
         """``SyntheticSuite.draw_sums`` with the models evaluated externally:
         the same keyed streams, each sample sent model by model, and each
-        replication's responses summed into ``out[r]``."""
+        replication's responses summed into ``out[r]``. Raises MemoryError
+        when one replication's inputs and responses do not fit."""
+        try:
+            inputs = np.empty((1, count, self.input_dim))
+            samples = np.empty((count, len(group), self.num_outputs))
+        except ValueError as exc:  # numpy's error for an array past its largest size
+            raise MemoryError(exc) from None
         blocks = SyntheticSuite.factor_blocks(count, self.input_dim, seed,
-                                              group_index, range(len(out)))
-        samples = np.empty((count, len(group), self.num_outputs))
+                                              group_index, range(len(out)),
+                                              out=inputs)
         for r, z in enumerate(blocks):
             where = f"group {group_index} (replication {r})"
             for j in range(count):
@@ -182,8 +191,9 @@ def run_estimate(config: ProblemConfig, allocation,
     n = allocation.n if isinstance(allocation, Allocation) else allocation
     counts = _integer_counts(n, config.groups.num_groups)
     reps = int(config.replications if replications is None else replications)
+    where = "/replications" if replications is None else "--reps"
     if reps < 1:
-        raise ValueError("replications must be >= 1")
+        raise ConfigError(where, "must be > 0")
 
     # an ill-posed allocation raises here, before any evaluation
     predicted = np.array([blue_variance(system, counts)
@@ -194,7 +204,6 @@ def run_estimate(config: ProblemConfig, allocation,
         sums = {int(k): np.empty((reps, len(config.groups.groups[k]), m))
                 for k in np.flatnonzero(counts)}
     except (MemoryError, ValueError) as exc:
-        where = "/replications" if replications is None else "--reps"
         raise ConfigError(
             where, f"{reps} replications do not fit in memory ({exc})"
         ) from None
@@ -207,8 +216,14 @@ def run_estimate(config: ProblemConfig, allocation,
     draw_sums = (evaluator or config.suite).draw_sums
     try:
         for k, buffer in sums.items():
-            draw_sums(config.groups.groups[k], int(counts[k]), config.seed, k,
-                      buffer)
+            group, count = config.groups.groups[k], int(counts[k])
+            try:
+                draw_sums(group, count, config.seed, k, buffer)
+            except MemoryError as exc:
+                raise ConfigError(
+                    "/mode", f"group {group} needs {count} samples per "
+                    f"replication, which do not fit in memory ({exc})"
+                ) from None
     finally:
         if evaluator is not None:
             evaluator.close()

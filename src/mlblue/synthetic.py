@@ -14,8 +14,11 @@ and groups can be drawn in any order and still produce identical numbers.
 ``factor_blocks`` is the one place that builds such a stream: one generator
 per (seed, group index), its counter moved to each replication's block in
 turn. ``draw_sums`` sums a group's factor draws over the samples first and
-maps the sum through the loadings once per replication, since the estimator
-needs nothing but the per-group sample sums.
+maps the sums through the loadings, since the estimator needs nothing but
+the per-group sample sums. It draws a chunk of replications at a time into
+one reused buffer of about 256 KB, each replication's block in its own row,
+then sums and maps the whole chunk in one call each. The stream and every
+value are the same as drawing and mapping one replication at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ import numpy as np
 from .covariance import CovarianceStore
 
 __all__ = ["SyntheticSuite"]
+
+# float64 elements in the chunk buffer of ``draw_sums`` (256 KB); a chunk
+# holds at least one replication, whatever its size
+_CHUNK_ELEMENTS = 2 ** 15
 
 
 class SyntheticSuite:
@@ -128,7 +135,10 @@ class SyntheticSuite:
         ``out`` has shape (replications, len(group), num_outputs); row r
         receives ``draw_group(group, count, seed, group_index, r).sum(axis=0)``
         up to rounding, computed as count * mean + (sum of the factor draws)
-        @ loadings.T, so no sample is mapped on its own.
+        @ loadings.T, so no sample is mapped on its own. The draws of a
+        chunk of replications share one buffer of about ``_CHUNK_ELEMENTS``
+        floats, so the scratch memory does not grow with the replications.
+        Raises MemoryError when one replication's draws do not fit.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
@@ -137,10 +147,31 @@ class SyntheticSuite:
         # loads[f, a * num_outputs + s] = loadings[s, members[a], f]
         loads = self._loadings[:, members, :].transpose(2, 1, 0).reshape(
             self.num_factors, -1)
-        blocks = self.factor_blocks(count, self.num_factors, seed, group_index,
-                                    range(len(out)))
-        for r, z in enumerate(blocks):
-            out[r] = offset + (z.sum(axis=0) @ loads).reshape(offset.shape)
+        reps, dim = len(out), self.num_factors
+        rows = max(1, min(reps, _CHUNK_ELEMENTS // max(1, count * dim)))
+        try:
+            buf = np.empty((rows, count, dim))
+        except ValueError as exc:  # numpy's error for an array past its largest size
+            raise MemoryError(exc) from None
+        blocks = self.factor_blocks(count, dim, seed, group_index, range(reps),
+                                    out=buf)
+        for start in range(0, reps, rows):
+            chunk = buf[:min(rows, reps - start)]
+            for _ in chunk:  # replication start + i is drawn into row i
+                next(blocks)
+            # einsum adds each factor's draws in sample order, as the
+            # reference z.sum(axis=0) does, and several times faster than
+            # chunk.sum(axis=1); with one factor that reference sums
+            # pairwise, and so does chunk.sum(axis=1), but not einsum
+            if dim == 1:
+                sums = chunk.sum(axis=1)
+            else:
+                sums = np.einsum("rcd->rd", chunk)
+            # a batch of (1, dim) @ (dim, g*m) products, each the same
+            # arithmetic as one replication's sum @ loads
+            mapped = np.matmul(sums[:, None, :], loads)[:, 0]
+            out[start:start + len(chunk)] = (
+                mapped.reshape(-1, *offset.shape) + offset)
 
     @staticmethod
     def factor_draws(count, dim, seed, stream_index, replication=0):
@@ -149,7 +180,7 @@ class SyntheticSuite:
                                                  (replication,)))
 
     @staticmethod
-    def factor_blocks(count, dim, seed, stream_index, replications):
+    def factor_blocks(count, dim, seed, stream_index, replications, out=None):
         """Yield (count, dim) standard normal draws for each listed replication.
 
         The stream is a Philox generator keyed by (seed, stream_index); streams
@@ -159,16 +190,24 @@ class SyntheticSuite:
         replications: assigning the state moves its counter to the block and
         empties its buffer, exactly as a fresh construction would, so each
         block is bit-identical whatever the order of ``replications``.
+
+        Each block is a new array unless ``out``, a C-contiguous
+        (rows, count, dim) float array, is given: then the i-th listed block
+        is drawn into ``out[i % rows]`` and that row is yielded, so a caller
+        that takes ``rows`` blocks at a time finds them in ``out`` in order.
         """
         key = np.array([seed, stream_index], dtype=np.uint64)
         bit_generator = np.random.Philox(key=key)
         rng = np.random.Generator(bit_generator)
         state = bit_generator.state
-        counter = state["state"]["counter"]
-        for replication in replications:
-            counter[:] = (0, 0, replication, 0)
+        counter = state["state"]["counter"]  # [0, 0, 0, 0] for a new Philox
+        for i, replication in enumerate(replications):
+            counter[2] = replication
             bit_generator.state = state
-            yield rng.standard_normal((count, dim))
+            if out is None:
+                yield rng.standard_normal((count, dim))
+            else:
+                yield rng.standard_normal(out=out[i % len(out)])
 
     @classmethod
     def hierarchy(cls, num_models: int, num_outputs: int = 1, rate: float = 2.0,

@@ -313,6 +313,24 @@ def test_replications_beyond_memory_exit_2(tmp_path, capsys, size, where):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_nonpositive_reps_exit_2(tmp_path, capsys, reps):
+    argv = ["estimate", "--config", budget_config(tmp_path), "--reps", reps]
+    assert main(argv) == 2
+    assert "config error: --reps: must be > 0" in capsys.readouterr().err
+
+
+# the budget buys this many samples of group (2,) in each replication: the
+# first draw buffer takes 5.48 PiB, the second exceeds numpy's largest array
+@pytest.mark.parametrize("budget,count", [(3e14, 385711574504198),
+                                          (3e18, 3857115736507856384)])
+def test_group_samples_beyond_memory_exit_2(tmp_path, capsys, budget, count):
+    path = budget_config(tmp_path, mode={"type": "budget", "budget": budget})
+    assert main(["estimate", "--config", path]) == 2
+    assert (f"config error: /mode: group (2,) needs {count} samples per "
+            "replication, which do not fit in memory" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("size", [10 ** 17, 10 ** 19])
 def test_pilot_count_beyond_memory_exits_2(tmp_path, capsys, size):
     pilot = {"type": "pilot", "count": size}

@@ -9,7 +9,7 @@ import pytest
 
 from mlblue.allocate import integer_projection, solve_mosap
 from mlblue.baselines import BaselineAllocation
-from mlblue.config import parse_problem
+from mlblue.config import ConfigError, parse_problem
 from mlblue.estimator import IllPosedError, normalized_error
 from mlblue.runner import (
     EvaluatorError,
@@ -371,6 +371,20 @@ def test_command_evaluator_request_order(tmp_path):
             for j in range(len(z)):
                 want += [{"model": model, "input": z[j].tolist()} for model in group]
     assert reqs == want
+
+
+# 2**50 samples of two inputs take 16 PiB; 2**62 exceed numpy's largest array
+@pytest.mark.parametrize("count", [2 ** 50, 2 ** 62])
+def test_command_evaluator_samples_beyond_memory_raise_before_any_request(
+        tmp_path, count):
+    log = tmp_path / "log.jsonl"
+    cfg = command_config(tmp_path, argv_extra=(str(log),))
+    n = np.zeros(cfg.groups.num_groups)
+    n[cfg.groups.index_of((1,))] = count
+    with pytest.raises(ConfigError, match=rf"^/mode: group \(1,\) needs {count} "
+                                          "samples per replication, which do not fit"):
+        run_estimate(cfg, n, replications=2)
+    assert not log.exists() or log.read_text() == ""
 
 
 def test_ill_posed_allocation_raises_before_any_request(tmp_path):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mlblue import synthetic
 from mlblue.synthetic import SyntheticSuite
 
 
@@ -41,3 +44,53 @@ def test_draw_sums_rejects_negative_count():
     suite = SyntheticSuite.random(2, seed=0)
     with pytest.raises(ValueError, match="count"):
         suite.draw_sums((1, 2), -1, 0, 0, np.empty((2, 2, 1)))
+
+
+def per_replication_sums(suite, group, count, seed, k, reps):
+    # the sums drawn and mapped one replication at a time
+    members = [i - 1 for i in sorted(group)]
+    offset = count * suite.means[:, members].T
+    loads = suite.loadings[:, members, :].transpose(2, 1, 0).reshape(
+        suite.num_factors, -1)
+    out = np.empty((reps, len(group), suite.num_outputs))
+    for r in range(reps):
+        z = SyntheticSuite.factor_draws(count, suite.num_factors, seed, k, r)
+        out[r] = offset + (z.sum(axis=0) @ loads).reshape(offset.shape)
+    return out
+
+
+# "several": full chunks of three replications and a partial last one;
+# "one": a chunk one float smaller than a replication, so one per chunk;
+# "default": the module's chunk, which holds all replications here. One
+# factor is its own case: numpy sums a single factor's draws pairwise.
+@pytest.mark.parametrize("layout", ["several", "one", "default"])
+@pytest.mark.parametrize("factors", [1, 2, 5])
+@pytest.mark.parametrize("outputs", [1, 2])
+@pytest.mark.parametrize("count,reps", [(6, 23), (300, 7), (0, 23), (6, 1)])
+def test_chunked_draw_sums_are_bit_identical(monkeypatch, layout, factors,
+                                             outputs, count, reps):
+    chunk = {"several": 3 * count * factors, "one": count * factors - 1,
+             "default": synthetic._CHUNK_ELEMENTS}[layout]
+    monkeypatch.setattr(synthetic, "_CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(factors)
+    suite = SyntheticSuite(rng.standard_normal((outputs, 3, factors)),
+                           rng.standard_normal((outputs, 3)))
+    for group in ((2,), (1, 3), (1, 2, 3)):
+        out = np.empty((reps, len(group), outputs))
+        suite.draw_sums(group, count, 11, 6, out)
+        assert np.array_equal(
+            out, per_replication_sums(suite, group, count, 11, 6, reps))
+
+
+def test_draw_sums_scratch_memory_is_bounded():
+    # the hot group of the seed-1 estimate-3x1 benchmark config; one buffer
+    # for all its replications would take 52 MB
+    suite = SyntheticSuite.hierarchy(3, 1, rate=2, strength=0.05)
+    out = np.empty((4000, 1, 1))
+    tracemalloc.start()
+    try:
+        suite.draw_sums((2,), 422, 1, 3, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -59,12 +59,12 @@ _PARETO_COST_CAP = 1e12
 _RAY_SLACK = 100.0
 # integer projection enumerates the roundings of at most this many entries
 _ENUMERATION_CAP = 20
-# projection candidates scored per batch: the per-batch stacks stay near
-# 100 kB, and the Python work per batch is small next to the batched eigh
-_PROJECTION_CHUNK = 100
-# bound on the relative difference between a batched and a scalar
-# evaluation of one candidate (summation order, eigh backward error); the
-# differences seen on the benchmark instances are under 1/1000 of it
+# projection candidates scored per batch: larger batches factor no faster,
+# and the scratch grows with them (0.5 MB at 8 models and 2 outputs)
+_PROJECTION_CHUNK = 250
+# slack of the batched checks and shift of the batched Psi, relative: about
+# 1000 times the rounding of a batched or a scalar evaluation of one
+# candidate (summation order, n·ε·‖Psi‖ in a factorization or an eigh)
 _BATCH_REL = 1e-12
 
 
@@ -383,7 +383,8 @@ class _BatchScorer:
 
     A candidate is ``base`` plus a 0/1 row of ``bits`` on the entries
     ``idx``, so every linear quantity and every Ψ is the base value plus
-    ``bits`` times the per-entry increments.
+    ``bits`` times the per-entry increments. Ψ is kept with model 1 last,
+    the order ``_batch_variance`` reads its variance bounds in.
     """
 
     def __init__(self, spec: MosapSpec, base: np.ndarray, idx: np.ndarray):
@@ -399,7 +400,9 @@ class _BatchScorer:
             local[system.group_indices] = np.arange(system.group_indices.size)
             hit = local[idx] >= 0
             steps[hit] = system.information[local[idx[hit]]]
-            self.psi.append((psi_base, steps.reshape(idx.size, psi_base.size)))
+            last = np.roll(np.arange(psi_base.shape[0]), -1)
+            steps = steps[:, last][:, :, last].reshape(idx.size, psi_base.size)
+            self.psi.append((psi_base[last][:, last], steps))
 
     def bounds_of(self, bits: np.ndarray):
         """(rows of ``bits`` that may be feasible, their objective lower bounds)."""
@@ -413,8 +416,7 @@ class _BatchScorer:
         sure = np.ones(live.size, dtype=bool)
         for s, (psi_base, steps) in enumerate(self.psi):
             psi = psi_base + (bits @ steps).reshape((-1,) + psi_base.shape)
-            variance, sensitivity, sure_s = _batch_variance(psi)
-            var_low[:, s] = variance - _BATCH_REL * sensitivity
+            var_low[:, s], sure_s = _batch_variance(psi, _BATCH_REL)
             sure &= sure_s
         if spec.mode == "tolerance":
             over = sure & (var_low > spec.tolerances * (1.0 + 1e-12)).any(axis=1)
@@ -438,13 +440,14 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
 
     Candidates are scored in batches of ``_PROJECTION_CHUNK``: Ψ is the
     base allocation's plus the bits times each fractional entry's block,
-    the linear checks are array products, and one batched eigh gives every
-    variance. The batch only filters: it drops candidates that fail a check
-    or whose objective exceeds the best so far by more than the batch's
-    error bound. Every other candidate is rescored by ``_integer_feasible``
-    (``blue_variance``) before it can become the best, so the result, its
-    variances and the tie-break are those of scoring every candidate with
-    ``blue_variance``.
+    the linear checks are array products, and two batched Cholesky
+    factorizations per output give a lower bound on every variance, or
+    none for a batch in which ``blue_variance``'s eigenvalue cutoff might
+    fire. The batch only filters: it drops candidates that fail a check or
+    whose objective bound exceeds the best so far. Every other candidate
+    is rescored by ``_integer_feasible`` (``blue_variance``) before it can
+    become the best, so the result, its variances and the tie-break are
+    those of scoring every candidate with ``blue_variance``.
 
     Fallbacks when no combination is feasible: tolerance mode takes the
     ceiling everywhere; budget mode scales the allocation down onto the

@@ -173,29 +173,33 @@ def _pinv_with_range(matrix):
     return 0.5 * (out + out.T), u
 
 
-def _batch_variance(psi):
-    """e1' Psi+ e1 over a (C, L, L) stack, by the rule of ``_information_pinv``.
+def _batch_variance(psi, shift):
+    """Lower bounds on e1' Psi+ e1 over a (C, L, L) stack of information
+    matrices whose last row and column belong to model 1. Overwrites the
+    stack's diagonal.
 
-    Returns (variance, sensitivity, sure). ``sensitivity`` is the first-order
-    change of the variance under a perturbation of Psi whose norm is Psi's
-    largest eigenvalue. ``sure`` is False where a small perturbation could
-    change the rule's decisions: an eigenvalue within a factor 2 of the
-    cutoff, e1 not clearly in the range, or Psi not clearly PSD. Variance and
-    sensitivity mean nothing where not sure.
+    Returns (bound, sure). A bound is 1 / L[-1, -1]**2 of the Cholesky
+    factor of Psi + shift * norm * I, norm being the largest absolute row
+    sum (at least the largest eigenvalue), so it is at most e1' inv(Psi) e1.
+    It holds for the rule of ``_information_pinv`` when no eigenvalue of Psi
+    on its sampled models is near that rule's cutoff, which a Cholesky
+    factor of Psi minus twice the cutoff at norm certifies for the whole
+    stack. Where that factor fails, no row is sure and every bound is -inf.
     """
-    w, v = np.linalg.eigh(psi)
-    top = np.maximum(w[:, -1], 0.0)
-    cutoff = (_PINV_RTOL * top)[:, None]
-    keep = w > cutoff
-    e1 = v[:, 0, :] ** 2  # squared e1 component of each eigenvector
-    inverse = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    near_cutoff = ((w > 0.5 * cutoff) & (w <= 2.0 * cutoff)).any(axis=1)
-    sure = (
-        (np.sqrt((e1 * ~keep).sum(axis=1)) < 0.5 * _WELLPOSED_TOL)
-        & ~near_cutoff
-        & (w[:, 0] >= -0.5 * np.maximum(cutoff[:, 0], _PINV_RTOL))
-    )
-    return (e1 * inverse).sum(axis=1), top * (e1 * inverse**2).sum(axis=1), sure
+    size = psi.shape[-1]
+    norm = np.abs(psi).sum(axis=2).max(axis=1)[:, None]
+    # an unsampled model's row and column are exactly zero and e1 has no
+    # component there, so a positive pad leaves the variance unchanged
+    diag = psi[:, range(size), range(size)]
+    diag = np.where(diag == 0.0, norm, diag)
+    psi[:, range(size), range(size)] = diag - 2.0 * _PINV_RTOL * norm
+    try:
+        np.linalg.cholesky(psi)
+    except np.linalg.LinAlgError:
+        return np.full(psi.shape[0], -np.inf), np.zeros(psi.shape[0], dtype=bool)
+    psi[:, range(size), range(size)] = diag + shift * norm
+    corner = np.linalg.cholesky(psi)[:, -1, -1]
+    return 1.0 / corner**2, np.ones(psi.shape[0], dtype=bool)
 
 
 def pseudo_inverse(matrix) -> np.ndarray:

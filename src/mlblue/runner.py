@@ -11,7 +11,8 @@ maps each replication's factor sum through the loadings once instead of
 evaluating every sample, drawing a chunk of replications into one reused
 buffer and summing and mapping the chunk in one call each, with the same
 stream and values as one replication at a time. A group whose samples of
-one replication do not fit in memory is a ConfigError on ``/mode``.
+one replication do not fit in memory, or whose count does not fit in 64
+bits, is a ConfigError on ``/mode``.
 Results depend only on (config, seed), never on execution order.
 
 The module also owns the on-disk formats: allocation JSON, estimate-report
@@ -169,14 +170,20 @@ def spec_from_config(config: ProblemConfig,
     )
 
 
-def _integer_counts(n, num_groups):
+def _integer_counts(n, groups: GroupSet):
     n = np.asarray(n, dtype=float)
-    if n.shape != (num_groups,):
-        raise ValueError(f"allocation must have length {num_groups}")
-    counts = np.rint(n).astype(int)
-    if np.abs(n - counts).max(initial=0.0) > 1e-9 or np.any(counts < 0):
+    if n.shape != (groups.num_groups,):
+        raise ValueError(f"allocation must have length {groups.num_groups}")
+    counts = np.rint(n)
+    if (not np.isfinite(n).all() or np.abs(n - counts).max(initial=0.0) > 1e-9
+            or np.any(counts < 0)):
         raise ValueError("run_estimate needs a nonnegative integer allocation")
-    return counts
+    if counts.max(initial=0.0) >= 2.0**63:  # the cast to int64 would wrap
+        k = int(np.argmax(counts))
+        raise ConfigError("/mode", f"group {groups.groups[k]} needs "
+                          f"{int(counts[k])} samples per replication, more "
+                          "than a 64-bit count holds")
+    return counts.astype(int)
 
 
 def run_estimate(config: ProblemConfig, allocation,
@@ -189,7 +196,7 @@ def run_estimate(config: ProblemConfig, allocation,
     identical (config, seed) gives bit-identical reports.
     """
     n = allocation.n if isinstance(allocation, Allocation) else allocation
-    counts = _integer_counts(n, config.groups.num_groups)
+    counts = _integer_counts(n, config.groups)
     reps = int(config.replications if replications is None else replications)
     where = "/replications" if replications is None else "--reps"
     if reps < 1:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -342,6 +343,44 @@ def test_batched_projection_matches_scalar_scoring(name):
         assert keys[0][:2] == keys[1][:2]
     if name == "across-chunks":
         assert len(keys) + rejected > _PROJECTION_CHUNK
+
+
+def test_uncertified_batch_is_rescored_in_full(monkeypatch):
+    # the 1e13 information ratio puts an eigenvalue of some candidate near
+    # blue_variance's cutoff, so the Cholesky certificate fails for the
+    # whole batch; every candidate of it is then rescored
+    flags = []
+
+    def recording(psi, shift, kernel=allocate._batch_variance):
+        bound, sure = kernel(psi, shift)
+        flags.append(sure)
+        return bound, sure
+
+    monkeypatch.setattr(allocate, "_batch_variance", recording)
+    spec, n = projection_case("unidentifiable")
+    best, _, _ = scalar_projection(spec, n)
+    out = integer_projection(spec, fabricate(spec, n))
+    assert any(not sure.any() for sure in flags)
+    assert np.array_equal(out.n, best[1])
+
+
+def test_projection_scratch_memory_is_bounded():
+    # the 7-model, 3-output budget instance of the benchmark's allocate
+    # operation, whose continuous optimum has 13 fractional entries
+    costs = 4.0 ** np.arange(6, -1, -1)
+    gs = enumerate_groups(all_output_modelset(costs, num_outputs=3), kappa=3)
+    store = SyntheticSuite.random(7, 3, seed=16).exact_store()
+    spec = MosapSpec(mode="budget", groups=gs, systems=systems_from_store(gs, store),
+                     budget=100.0 * costs.sum())
+    cont = solve_mosap(spec)
+    assert np.count_nonzero(np.abs(cont.n - np.rint(cont.n)) > 1e-6) == 13
+    tracemalloc.start()
+    try:
+        integer_projection(spec, cont)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_projection_reports_greedy_rounding(monkeypatch, capsys):

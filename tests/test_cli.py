@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,20 @@ def test_group_samples_beyond_memory_exit_2(tmp_path, capsys, budget, count):
     assert main(["estimate", "--config", path]) == 2
     assert (f"config error: /mode: group (2,) needs {count} samples per "
             "replication, which do not fit in memory" in capsys.readouterr().err)
+
+
+# the budget buys group (2,) 2^63 samples or more, which an int64 count
+# would wrap
+@pytest.mark.parametrize("budget,count", [(3e19, 38571156812603179008),
+                                          (3e20, 385711568126031757312)])
+def test_group_count_beyond_int64_exit_2(tmp_path, capsys, budget, count):
+    path = budget_config(tmp_path, mode={"type": "budget", "budget": budget})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"config error: /mode: group (2,) needs {count} samples per "
+        "replication, more than a 64-bit count holds")
 
 
 @pytest.mark.parametrize("size", [10 ** 17, 10 ** 19])

@@ -5,6 +5,7 @@ from mlblue.covariance import CovarianceStore
 from mlblue.estimator import (
     BlueSystem,
     IllPosedError,
+    _batch_variance,
     assemble_psi,
     blue_variance,
     combine_samples,
@@ -449,3 +450,52 @@ def test_lifted_inverse_bounded_near_perfect_correlation():
     # the lifted spectrum's floor is 1e-6 * lam_max; allow for rounding only
     assert np.linalg.norm(system.lifted[j], 2) <= 1e6 / lam_max * (1.0 + 1e-9)
     assert np.linalg.norm(system.information[j], 2) > 1e9 / lam_max
+
+
+def random_group_blocks(rng, dim, kind):
+    """(K, dim, dim) random PSD information blocks, each on a random subset
+    of the models: of full rank on it, of random rank ("rank-deficient"),
+    or with one model carrying 1e13 times the information ("ratio", as in
+    the projection tests' unidentifiable case)."""
+    blocks = np.zeros((rng.integers(1, 6), dim, dim))
+    for block in blocks:
+        models = rng.choice(dim, rng.integers(1, dim + 1), replace=False)
+        rank = models.size if kind != "rank-deficient" else rng.integers(models.size + 1)
+        b = rng.standard_normal((models.size, rank))
+        block[np.ix_(models, models)] = b @ b.T
+    if kind == "ratio":
+        scale = np.ones(dim)
+        scale[rng.integers(dim)] = 10.0**6.5
+        blocks = scale[:, None] * blocks * scale
+    return blocks
+
+
+@pytest.mark.parametrize("kind", ["full", "rank-deficient", "ratio"])
+def test_batch_variance_bounds_the_scalar_rule(kind):
+    # every row the kernel is sure of bounds blue_variance from below, by
+    # at most the factor 1.5 its shift allows; zero counts leave models
+    # unsampled, and an unsure stack has nothing to check
+    rng = np.random.default_rng(["full", "rank-deficient", "ratio"].index(kind))
+    checked = unsure = 0
+    for _ in range(300):
+        dim = int(rng.integers(1, 9))
+        blocks = random_group_blocks(rng, dim, kind)
+        members = np.abs(blocks).sum(axis=1) > 0
+        system = BlueSystem(
+            num_models=dim, num_groups=len(blocks), output=1,
+            group_indices=np.arange(len(blocks)), members=members,
+            information=blocks, lifted=blocks, highfi_variance=1.0,
+            anchor_mask=members[:, 0])
+        counts = rng.integers(0, 4, (rng.integers(1, 9), len(blocks))).astype(float)
+        last = np.roll(np.arange(dim), -1)  # model 1 last
+        psi = np.tensordot(counts, blocks, 1)[:, last][:, :, last]
+        bound, sure = _batch_variance(psi, 1e-12)
+        unsure += not sure.any()
+        for n, low in zip(counts[sure], bound[sure]):
+            try:
+                variance = blue_variance(system, n)
+            except IllPosedError:
+                continue
+            assert variance / 1.5 <= low <= variance
+            checked += 1
+    assert checked > 100 and unsure > 0

@@ -19,6 +19,11 @@ by max|c|, the group allocation is expressed in units of a mode-specific
 magnitude guess, and each PSD block is congruence-scaled by a scalar so
 that its entries are O(1) near the solution; all three transformations are
 exact reparameterizations and are undone on the way out.
+
+The linear rows (the cost bound, each output's anchor sum, the caps) are
+stated once, by ``_rows``, in the normalized cost unit. The SDP, the checks
+on integer counts and the pareto ray's slack test all read them, with
+slacks relative to each bound, so they agree at every unit of cost.
 """
 
 from __future__ import annotations
@@ -192,6 +197,29 @@ def _magnitude_guess(spec: MosapSpec, costs_n: np.ndarray) -> float:
     return max(math.sqrt(v1 * anchor / tau) / (num_groups * mean_cost), 1e-6)
 
 
+def _rows(spec: MosapSpec, slack: float = 0.0):
+    """(rows, bounds) of the problem's linear rows, rows @ n <= bounds, with
+    costs in units of the largest group cost: the cost (bounded by the
+    budget, by the pareto cost cap, or not at all in tolerance mode), each
+    output's negated anchor sum, then the caps. A nonzero ``slack`` moves
+    each bound by ``slack`` times its magnitude, outward when positive."""
+    cost_scale = float(np.max(spec.group_costs))
+    costs_n = spec.group_costs / cost_scale
+    if spec.mode == "budget":
+        cost_bound = float(spec.budget) / cost_scale
+    elif spec.mode == "pareto":
+        cost_bound = _PARETO_COST_CAP * float(np.min(costs_n))
+    else:
+        cost_bound = np.inf
+    rows = [costs_n, *(np.where(s.anchor_mask, -1.0, 0.0) for s in spec.systems),
+            *(coeffs for coeffs, _ in spec.extra_linear)]
+    bounds = np.array([cost_bound, *[-1.0] * spec.num_outputs,
+                       *(bound for _, bound in spec.extra_linear)])
+    if slack:
+        bounds = bounds + slack * np.abs(bounds)
+    return np.array(rows), bounds
+
+
 def _build(spec: MosapSpec):
     """Assemble the scaled SdpProblem for any mode.
 
@@ -248,33 +276,15 @@ def _build(spec: MosapSpec):
             constant[p - 1, p - 1] = spec.tolerances[s] * bscale
         blocks.append(PsdBlock(constant, idx, coeffs))
 
-    rows = []
-    rhs = []
-    if spec.mode == "budget":
-        row = np.zeros(dim)
-        row[:num_groups] = costs_n * (alloc_scale / (spec.budget / cost_scale))
-        rows.append(row)
-        rhs.append(1.0)
-    if spec.mode == "pareto":
-        cap = _PARETO_COST_CAP * float(np.min(costs_n))
-        row = np.zeros(dim)
-        row[:num_groups] = costs_n * (alloc_scale / cap)
-        rows.append(row)
-        rhs.append(1.0)
-    for system in spec.systems:
-        mask = system.anchor_mask
-        mask_scale = float(np.max(alloc_scale[mask]))
-        row = np.zeros(dim)
-        row[:num_groups][mask] = -alloc_scale[mask] / mask_scale
-        rows.append(row)
-        rhs.append(-1.0 / mask_scale)
-    for coeffs_row, bound in spec.extra_linear:
-        scaled = coeffs_row * alloc_scale
-        row_scale = max(np.abs(scaled).max(), 1e-300)
-        row = np.zeros(dim)
-        row[:num_groups] = scaled / row_scale
-        rows.append(row)
-        rhs.append(bound / row_scale)
+    # the cost row is scaled by its bound, every other row by its largest
+    # scaled entry
+    rows, bounds = _rows(spec)
+    cost_row = rows[0] * (alloc_scale / bounds[0])
+    rows = rows[1:] * alloc_scale
+    row_scales = np.maximum(np.abs(rows).max(axis=1), 1e-300)
+    rows, bounds = rows / row_scales[:, None], bounds[1:] / row_scales
+    if has_t:
+        rows, bounds = np.vstack([cost_row, rows]), np.append(1.0, bounds)
 
     objective = np.zeros(dim)
     if spec.mode == "budget":
@@ -288,8 +298,8 @@ def _build(spec: MosapSpec):
     problem = SdpProblem(
         objective=objective,
         blocks=blocks,
-        ineq_matrix=np.array(rows).reshape(len(rows), dim),
-        ineq_rhs=np.array(rhs),
+        ineq_matrix=np.pad(rows, ((0, 0), (0, dim - num_groups))),
+        ineq_rhs=bounds,
     )
     return problem, alloc_scale
 
@@ -305,13 +315,13 @@ def _variances(spec: MosapSpec, n: np.ndarray) -> np.ndarray:
     return np.array([blue_variance(system, n) for system in spec.systems])
 
 
-def _objective_of(spec: MosapSpec, n: np.ndarray, variances: np.ndarray) -> float:
-    cost = float(spec.group_costs @ n)
+def _objective(spec: MosapSpec, cost, worst_variance):
+    """The mode's objective from the cost and the largest output variance."""
     if spec.mode == "budget":
-        return float(np.max(variances))
+        return worst_variance
     if spec.mode == "tolerance":
         return cost
-    return float(np.max(variances)) + spec.tau * cost
+    return worst_variance + spec.tau * cost
 
 
 def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocation:
@@ -344,28 +354,16 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
         per_output_variance=variances,
         total_cost=total_cost,
         is_integer=False,
-        objective_value=_objective_of(spec, n, variances),
+        objective_value=_objective(spec, total_cost, float(np.max(variances))),
         solver_status=sol.status,
         solver_iterations=sol.iterations,
         solver_gap=sol.residuals.get("gap", float("nan")),
     )
 
 
-def _linear_rows(spec: MosapSpec):
-    """(rows, bounds) of the checks rows @ n <= bounds on integer counts: the
-    negated anchor sums, the caps, then the cost (bound +inf unless budget)."""
-    rows = [-system.anchor_mask.astype(float) for system in spec.systems]
-    bounds = [-(1.0 - 1e-9)] * len(rows)
-    budget = spec.budget if spec.mode == "budget" else np.inf
-    for coeffs, bound in (*spec.extra_linear, (spec.group_costs, budget)):
-        rows.append(coeffs)
-        bounds.append(bound * (1.0 + 1e-12) + 1e-12)
-    return np.array(rows), np.array(bounds)
-
-
 def _integer_feasible(spec: MosapSpec, n: np.ndarray):
     """(feasible, variances) under integer-count semantics."""
-    rows, bounds = _linear_rows(spec)
+    rows, bounds = _rows(spec, 1e-12)
     if np.any(rows @ n > bounds):
         return False, None
     try:
@@ -382,14 +380,15 @@ class _BatchScorer:
     """Lower bounds on the projection objective for batches of candidates.
 
     A candidate is ``base`` plus a 0/1 row of ``bits`` on the entries
-    ``idx``, so every linear quantity and every Ψ is the base value plus
+    ``idx``, so every linear row and every Ψ is the base value plus
     ``bits`` times the per-entry increments. Ψ is kept with model 1 last,
-    the order ``_batch_variance`` reads its variance bounds in.
+    the order ``_batch_variance`` reads its variance bounds in; an output
+    whose stack it cannot certify bounds nothing (-inf).
     """
 
     def __init__(self, spec: MosapSpec, base: np.ndarray, idx: np.ndarray):
         self.spec = spec
-        rows, self.bounds = _linear_rows(spec)
+        rows, self.bounds = _rows(spec, 1e-12)
         self.linear = (rows @ base, rows[:, idx].T)
         self.linear_abs = (np.abs(rows) @ base, np.abs(rows[:, idx]).T)
         self.psi = []
@@ -411,20 +410,17 @@ class _BatchScorer:
         slack = _BATCH_REL * (self.linear_abs[0] + bits @ self.linear_abs[1])
         live = np.flatnonzero(~(values - slack > self.bounds).any(axis=1))
         bits = bits[live]
-        cost_low = values[live, -1] - slack[live, -1]
+        # row 0 is the cost, in units of the largest group cost
+        cost_low = (values[live, 0] - slack[live, 0]) * np.max(spec.group_costs)
         var_low = np.empty((live.size, spec.num_outputs))
-        sure = np.ones(live.size, dtype=bool)
         for s, (psi_base, steps) in enumerate(self.psi):
             psi = psi_base + (bits @ steps).reshape((-1,) + psi_base.shape)
-            var_low[:, s], sure_s = _batch_variance(psi, _BATCH_REL)
-            sure &= sure_s
+            var_low[:, s] = _batch_variance(psi, _BATCH_REL)
+        objective = _objective(spec, cost_low, var_low.max(axis=1))
         if spec.mode == "tolerance":
-            over = sure & (var_low > spec.tolerances * (1.0 + 1e-12)).any(axis=1)
-            return live[~over], cost_low[~over]
-        objective = var_low.max(axis=1)
-        if spec.mode == "pareto":
-            objective = objective + spec.tau * cost_low
-        return live, np.where(sure, objective, -np.inf)
+            keep = ~(var_low > spec.tolerances * (1.0 + 1e-12)).any(axis=1)
+            live, objective = live[keep], objective[keep]
+        return live, objective
 
 
 def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
@@ -440,18 +436,19 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
 
     Candidates are scored in batches of ``_PROJECTION_CHUNK``: Ψ is the
     base allocation's plus the bits times each fractional entry's block,
-    the linear checks are array products, and two batched Cholesky
-    factorizations per output give a lower bound on every variance, or
-    none for a batch in which ``blue_variance``'s eigenvalue cutoff might
-    fire. The batch only filters: it drops candidates that fail a check or
+    the linear checks are the SDP's own ``_rows``, the base values plus the
+    bits times their columns, and two batched Cholesky factorizations per
+    output give a lower bound on every variance, or -inf for a batch in
+    which ``blue_variance``'s eigenvalue cutoff might fire. The batch only filters: it drops candidates that fail a check or
     whose objective bound exceeds the best so far. Every other candidate
     is rescored by ``_integer_feasible`` (``blue_variance``) before it can
     become the best, so the result, its variances and the tie-break are
     those of scoring every candidate with ``blue_variance``.
 
-    Fallbacks when no combination is feasible: tolerance mode takes the
-    ceiling everywhere; budget mode scales the allocation down onto the
-    budget and floors. Both are flagged on the result.
+    Fallbacks when no combination is feasible: budget mode scales the
+    allocation down onto the budget and floors; the other modes take the
+    ceiling everywhere. Both are flagged on the result and named in one
+    line on stderr.
     """
     n0 = np.asarray(allocation.n, dtype=float).copy()
     snapped = np.rint(n0)
@@ -493,8 +490,8 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
             ok, variances = _integer_feasible(spec, cand)
             if not ok:
                 continue
-            obj = _objective_of(spec, cand, variances)
             cost = float(spec.group_costs @ cand)
+            obj = _objective(spec, cost, float(np.max(variances)))
             key = (obj, cost, tuple(cand))
             if best is None or key < best[0]:
                 best = (key, cand, variances)
@@ -505,8 +502,12 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
             total = float(spec.group_costs @ np.ceil(n0))
             shrink = spec.budget / total if total > 0 else 1.0
             cand = np.floor(n0 * min(shrink, 1.0))
+            rule = "scaled the allocation onto the budget and floored it"
         else:
             cand = np.ceil(n0)
+            rule = "rounded every entry up"
+        print(f"integer projection: no rounding is feasible; {rule}",
+              file=sys.stderr)
         try:
             variances = _variances(spec, cand)
         except IllPosedError:
@@ -514,13 +515,14 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
         best = (None, cand, variances)
 
     _, n_int, variances = best
-    finite = np.all(np.isfinite(variances))
-    obj = _objective_of(spec, n_int, variances) if finite else float("inf")
+    cost = float(spec.group_costs @ n_int)
+    worst = float(np.max(variances))
+    obj = _objective(spec, cost, worst) if np.isfinite(worst) else float("inf")
     return replace(
         allocation,
         n=n_int,
         per_output_variance=variances,
-        total_cost=float(spec.group_costs @ n_int),
+        total_cost=cost,
         is_integer=True,
         objective_value=obj,
         fallback=fallback,
@@ -528,14 +530,10 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
 
 
 def _ray_slack(spec: MosapSpec, n: np.ndarray, margin: float) -> bool:
-    """Whether n clears each linear row of the pareto SDP by ``margin``,
-    relative: every output's anchor sum, the caps, and the cost cap as
-    ``_build`` writes it (in costs normalized by the largest)."""
-    costs_n = spec.group_costs / np.max(spec.group_costs)
-    rows = [(-n[s.anchor_mask].sum(), -1.0) for s in spec.systems]
-    rows += [(coeffs @ n, bound) for coeffs, bound in spec.extra_linear]
-    rows.append((costs_n @ n, _PARETO_COST_CAP * np.min(costs_n)))
-    return all(value < bound - margin * abs(bound) for value, bound in rows)
+    """Whether n clears each of the problem's linear rows by ``margin``,
+    relative."""
+    rows, bounds = _rows(spec, -margin)
+    return bool(np.all(rows @ n < bounds))
 
 
 def pareto_sweep(
@@ -582,10 +580,11 @@ def pareto_sweep(
                 n = source[1].n * math.sqrt(source[0] / tau)
             if n is not None and _ray_slack(spec, n, margin):
                 variances = _variances(point, n)
+                cost = float(spec.group_costs @ n)
                 alloc = replace(
                     source[1], n=n, per_output_variance=variances,
-                    total_cost=float(spec.group_costs @ n),
-                    objective_value=_objective_of(point, n, variances),
+                    total_cost=cost,
+                    objective_value=_objective(point, cost, float(np.max(variances))),
                     solver_iterations=0,
                 )
             else:

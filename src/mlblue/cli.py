@@ -64,13 +64,7 @@ def _solve_project(cfg, args):
     alloc = solve_mosap(spec, _settings(args))
     if alloc.solver_status != "optimal":
         raise RuntimeError(f"solver stopped with status {alloc.solver_status!r}")
-    alloc = integer_projection(spec, alloc)
-    if alloc.fallback:
-        rule = ("scaled the allocation onto the budget and floored it"
-                if spec.mode == "budget" else "rounded every entry up")
-        print(f"integer projection: no rounding is feasible; {rule}",
-              file=sys.stderr)
-    return alloc
+    return integer_projection(spec, alloc)
 
 
 def _cmd_allocate(args):

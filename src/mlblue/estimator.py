@@ -178,13 +178,13 @@ def _batch_variance(psi, shift):
     matrices whose last row and column belong to model 1. Overwrites the
     stack's diagonal.
 
-    Returns (bound, sure). A bound is 1 / L[-1, -1]**2 of the Cholesky
-    factor of Psi + shift * norm * I, norm being the largest absolute row
-    sum (at least the largest eigenvalue), so it is at most e1' inv(Psi) e1.
-    It holds for the rule of ``_information_pinv`` when no eigenvalue of Psi
+    A bound is 1 / L[-1, -1]**2 of the Cholesky factor of
+    Psi + shift * norm * I, norm being the largest absolute row sum (at
+    least the largest eigenvalue), so it is at most e1' inv(Psi) e1. It
+    holds for the rule of ``_information_pinv`` when no eigenvalue of Psi
     on its sampled models is near that rule's cutoff, which a Cholesky
     factor of Psi minus twice the cutoff at norm certifies for the whole
-    stack. Where that factor fails, no row is sure and every bound is -inf.
+    stack. Where that factor fails, every bound is -inf.
     """
     size = psi.shape[-1]
     norm = np.abs(psi).sum(axis=2).max(axis=1)[:, None]
@@ -196,10 +196,9 @@ def _batch_variance(psi, shift):
     try:
         np.linalg.cholesky(psi)
     except np.linalg.LinAlgError:
-        return np.full(psi.shape[0], -np.inf), np.zeros(psi.shape[0], dtype=bool)
+        return np.full(psi.shape[0], -np.inf)
     psi[:, range(size), range(size)] = diag + shift * norm
-    corner = np.linalg.cholesky(psi)[:, -1, -1]
-    return 1.0 / corner**2, np.ones(psi.shape[0], dtype=bool)
+    return 1.0 / np.linalg.cholesky(psi)[:, -1, -1] ** 2
 
 
 def pseudo_inverse(matrix) -> np.ndarray:

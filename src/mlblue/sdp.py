@@ -439,19 +439,15 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             x_try = x + a_s * dx
             s_try = [sb + a_s * dsb for sb, dsb in zip(S, ds_blocks)]
             z_try = [zb + a_z * dzb for zb, dzb in zip(Z, dz_blocks)]
-            s_lp_try = s_lp + a_s * ds_lp
-            z_lp_try = z_lp + a_z * dz_lp
-            if np.all(s_lp_try > 0.0) and np.all(z_lp_try > 0.0):
-                try:
-                    chol_try = _factors(s_try), _factors(z_try)
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    x, S, Z, s_lp, z_lp = x_try, s_try, z_try, s_lp_try, z_lp_try
-                    chol_s, chol_z = chol_try
-                    break
-            a_z *= 0.5
-            a_s *= 0.5
+            try:
+                chol_s, chol_z = _factors(s_try), _factors(z_try)
+            except np.linalg.LinAlgError:
+                a_z *= 0.5
+                a_s *= 0.5
+                continue
+            x, S, Z = x_try, s_try, z_try
+            s_lp, z_lp = s_lp + a_s * ds_lp, z_lp + a_z * dz_lp
+            break
         else:
             break  # no usable step length left; report best iterate
 

@@ -352,9 +352,9 @@ def test_uncertified_batch_is_rescored_in_full(monkeypatch):
     flags = []
 
     def recording(psi, shift, kernel=allocate._batch_variance):
-        bound, sure = kernel(psi, shift)
-        flags.append(sure)
-        return bound, sure
+        bound = kernel(psi, shift)
+        flags.append(np.isfinite(bound))
+        return bound
 
     monkeypatch.setattr(allocate, "_batch_variance", recording)
     spec, n = projection_case("unidentifiable")
@@ -386,10 +386,13 @@ def test_projection_scratch_memory_is_bounded():
 def test_projection_reports_greedy_rounding(monkeypatch, capsys):
     monkeypatch.setattr(allocate, "_ENUMERATION_CAP", 2)
     spec, n = projection_case("budget")
-    integer_projection(spec, fabricate(spec, n))
+    # rounding 8 entries up leaves every candidate over the budget
+    assert integer_projection(spec, fabricate(spec, n)).fallback
     assert capsys.readouterr().err == (
         "integer projection: rounded 8 of 10 fractional entries up before "
         "enumerating\n"
+        "integer projection: no rounding is feasible; scaled the allocation "
+        "onto the budget and floored it\n"
     )
 
 
@@ -411,6 +414,30 @@ def test_projection_never_violates_tolerance():
         out = integer_projection(spec, solve_mosap(spec))
         assert out.is_integer
         assert out.max_variance <= eps2 * (1 + 1e-9)
+
+
+def test_projection_is_invariant_to_the_cost_unit():
+    # one continuous allocation, projected with costs and budget in units
+    # 2^-j apart: the checks are relative to each bound, so every unit gives
+    # the same integer allocation within budget (an absolute slack larger
+    # than the budget would let a rounding overspend it)
+    costs = np.array([1.0, 0.8, 0.1])
+    store = SyntheticSuite.hierarchy(3, 1, rate=2.0, strength=0.05).exact_store()
+    gs = enumerate_groups(all_output_modelset(costs), kappa=3)
+    spec = MosapSpec(mode="budget", groups=gs,
+                     systems=systems_from_store(gs, store), budget=100.0)
+    cont = solve_mosap(spec)
+    projected = []
+    for j in (-1000, -500, -3, 0, 3, 500):
+        unit = 2.0 ** j
+        gs = enumerate_groups(all_output_modelset(costs * unit), kappa=3)
+        scaled = MosapSpec(mode="budget", groups=gs,
+                           systems=systems_from_store(gs, store),
+                           budget=100.0 * unit)
+        out = integer_projection(scaled, cont)
+        assert out.total_cost <= scaled.budget
+        projected.append(out.n)
+    assert all(np.array_equal(n, projected[0]) for n in projected)
 
 
 def test_projection_respects_caps_exactly():

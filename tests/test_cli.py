@@ -122,6 +122,21 @@ def test_solver_overflow_exits_3(tmp_path, capsys, costs, mode):
         assert "Infinity" not in text and "NaN" not in text
 
 
+def test_tiny_cost_unit_stays_within_budget(tmp_path, capsys):
+    # a budget below 1e-12 in the config's cost unit: the integer checks
+    # are relative to it, so the projected allocation does not overspend
+    path = write_config(tmp_path, {
+        "models": {"costs": [1e-150, 8e-151, 1e-151]},
+        "synthetic": {"hierarchy": {"rate": 2.0, "strength": 0.05}},
+        "covariance": {"type": "synthetic"},
+        "groups": {"kappa": 3},
+        "mode": {"type": "budget", "budget": 1e-148},
+        "seed": 7,
+    })
+    assert main(["allocate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["total_cost"] <= 1e-148
+
+
 @pytest.mark.parametrize("eps2", [1e-310, 5e-324])
 def test_subnormal_tolerance_is_a_solver_failure(tmp_path, capsys, eps2):
     # schema-valid subnormal tolerances overflow the SDP's scaling; the

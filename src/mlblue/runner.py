@@ -13,7 +13,9 @@ buffer and summing and mapping the chunk in one call each, with the same
 stream and values as one replication at a time. A group whose samples of
 one replication do not fit in memory, or whose count does not fit in 64
 bits, is a ConfigError on ``/mode``.
-Results depend only on (config, seed), never on execution order.
+Results depend only on (config, seed), never on execution order, and, with
+numpy on OpenBLAS, not on the core count either, because every SDP solve
+runs on one BLAS thread.
 
 The module also owns the on-disk formats: allocation JSON, estimate-report
 JSON, and the Pareto frontier CSV with its fixed header and 17-significant-

@@ -25,10 +25,22 @@ tolerances. Infeasibility is reported when the iterates produce an
 approximate separating (Farkas) certificate; there is no homogeneous
 embedding, which is acceptable here because allocation problems are
 feasible by construction once the budget check passes.
+
+Each solve runs on one OpenBLAS thread and then sets the caller's thread
+count back. Its dense work is small (Schur complements of order 60 to 180
+on the bench configs), so a second thread would only spin-wait between
+calls, at twice the CPU time; and a product or factorization split over
+threads sums in an order that depends on the thread count, which would make
+the answers depend on the number of cores. The price is wall time on very
+large solves: 15 to 30 % on a 1585-group problem (Schur order about 1600)
+on two cores. Any BLAS other than OpenBLAS keeps its own thread setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +57,56 @@ __all__ = [
 
 # fraction of the largest step to the cone boundary that an iterate takes
 _STEP_SCALE = 0.98
+
+# (get, set) names of the OpenBLAS thread count: numpy's wheels, system builds
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_functions():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None.
+
+    The symbols are looked up through numpy's LAPACK extension, which
+    searches it and the libraries it links, so the OpenBLAS found is
+    numpy's own even when another one (scipy's) is loaded too.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+        try:
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the caller's count.
+
+    The count is process-wide, so solves must not overlap in threads.
+    """
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, put = functions
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
 
 
 def _sym(m):
@@ -227,8 +289,9 @@ def _adjoint(lifted, ineq, base, mats, lp_vec):
 def _schur_matrix(lifted, winvs, ineq, w_lp):
     """M = sum_b [tr(F_i W_b F_j W_b)]_ij + [G; -I]' diag(w_lp) [G; -I].
 
-    One product per block: merging the blocks into one larger product woke
-    a second BLAS thread and cost CPU time.
+    One product per block. Merging the blocks into one larger product was
+    measured only while solves could use a second BLAS thread, which it woke
+    at a cost in CPU time; it has not been measured on one thread.
     """
     m_ineq = ineq.shape[0]  # x >= 0 adds the diagonal w_lp[m_ineq:]
     m = (ineq * w_lp[:m_ineq, None]).T @ ineq + np.diag(w_lp[m_ineq:])
@@ -238,6 +301,7 @@ def _schur_matrix(lifted, winvs, ineq, w_lp):
     return m
 
 
+@_one_blas_thread()
 def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSolution:
     """Solve the block SDP; see the module docstring for the problem form.
 

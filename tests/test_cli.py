@@ -10,6 +10,7 @@ import pytest
 
 import mlblue
 from mlblue.cli import main
+from mlblue.synthetic import SyntheticSuite
 
 
 def write_config(tmp_path, raw, name="problem.json"):
@@ -471,3 +472,33 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mode"] == "budget"
+
+
+def test_pareto_answers_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the 10-model, one-output pareto shape of the benchmark; a product
+    # split over two OpenBLAS threads sums in another order and moves the
+    # variances in their last digits (with one core both runs use one)
+    loadings = SyntheticSuite.random(10, 1, seed=2).loadings
+    loadings = loadings / np.linalg.norm(loadings[:, 0, :], axis=1)[:, None, None]
+    config = write_config(tmp_path, {
+        "models": {"costs": (4.0 ** np.arange(9, -1, -1)).tolist()},
+        "synthetic": {"loadings": loadings.tolist()},
+        "covariance": {"type": "synthetic"},
+        "groups": {"kappa": 3},
+        "mode": {"type": "pareto", "sweep": np.logspace(-7, 4, 12).tolist()},
+    })
+    src = str(Path(mlblue.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        dest = tmp_path / f"frontier-{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "mlblue", "pareto", "--config", config,
+             "--output", str(dest), "--format", "json"],
+            capture_output=True, env=env, timeout=120, check=True,
+        )
+        outputs.append(dest.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -11,6 +11,7 @@ from mlblue.sdp import (
     SdpSettings,
     _adjoint,
     _apply,
+    _blas_thread_functions,
     _lift,
     _schur_matrix,
     _tril_inv,
@@ -207,9 +208,7 @@ def test_triangular_inverse_matches_general_inverse():
         assert np.allclose(inv @ low, np.eye(n), rtol=0, atol=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_non_finite_data_raises():
-    # a NaN or infinity must stop the solver, not run on into NaN iterates
+def non_finite_problems():
     f0 = np.array([[1.0, 1.0], [1.0, 0.0]])
     coeff = np.zeros((1, 2, 2))
     coeff[0, 1, 1] = 1.0
@@ -217,15 +216,59 @@ def test_non_finite_data_raises():
     bad_coeff[0, 1, 1] = np.nan
     bad_const = f0.copy()
     bad_const[0, 0] = np.inf
-    problems = [
+    return [
         SdpProblem(np.array([np.nan]), (PsdBlock(f0, [0], coeff),)),
         SdpProblem(np.array([1.0]), (PsdBlock(f0, [0], bad_coeff),)),
         SdpProblem(np.array([1.0]), (PsdBlock(bad_const, [0], coeff),)),
         SdpProblem(np.array([1.0]), ineq_matrix=[[np.nan]], ineq_rhs=[1.0]),
     ]
-    for prob in problems:
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_data_raises():
+    # a NaN or infinity must stop the solver, not run on into NaN iterates
+    for prob in non_finite_problems():
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_sdp(prob)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    functions = _blas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
+    get, put = functions
+    caller = get()
+    cholesky = np.linalg.cholesky
+    seen = []
+
+    def spy(a):
+        seen.append(get())
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    try:
+        put(2)
+        assert solve_sdp(corner_problem()).status == "optimal"
+        assert get() == 2
+        assert seen and set(seen) == {1}
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_sdp(non_finite_problems()[1])
+        assert get() == 2
+    finally:
+        put(caller)
+
+
+def test_openblas_thread_functions_are_bound():
+    # a numpy whose OpenBLAS renames the thread-count functions must fail
+    # here rather than quietly solve on every thread again
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        pytest.skip("this numpy does not report its BLAS")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built with {blas}, not OpenBLAS")
+    assert _blas_thread_functions() is not None
 
 
 def test_symmetry_validation_rejects_bad_blocks():

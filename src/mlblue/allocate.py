@@ -439,8 +439,9 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
     the linear checks are the SDP's own ``_rows``, the base values plus the
     bits times their columns, and two batched Cholesky factorizations per
     output give a lower bound on every variance, or -inf for a batch in
-    which ``blue_variance``'s eigenvalue cutoff might fire. The batch only filters: it drops candidates that fail a check or
-    whose objective bound exceeds the best so far. Every other candidate
+    which ``blue_variance``'s eigenvalue cutoff might fire. The batch only
+    filters: it drops candidates that fail a check or whose objective bound
+    exceeds the best so far. Every other candidate
     is rescored by ``_integer_feasible`` (``blue_variance``) before it can
     become the best, so the result, its variances and the tie-break are
     those of scoring every candidate with ``blue_variance``.

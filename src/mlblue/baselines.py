@@ -39,16 +39,19 @@ _MAX_EXHAUSTIVE_MODELS = 12
 
 @dataclass(frozen=True)
 class BaselineAllocation:
-    """A baseline estimator's allocation.
+    """A baseline estimator's allocation as sampling groups and their counts.
 
-    ``samples`` aligns with cost-descending level pairs for 'mlmc' (last
-    level is the coarsest model alone) and with ascending model ids of
-    ``model_subset`` for 'mfmc'. ``predicted_variance`` is per output.
+    For 'mlmc' the groups are the cost-descending level pairs, the last
+    level being the cheapest model alone. For 'mfmc' they are the suffix
+    groups of the nested per-model counts: the j-th holds every model whose
+    count reaches the j-th distinct count, and draws the increment.
+    ``predicted_variance`` is per output.
     """
 
     method: str
     model_subset: tuple[int, ...]
-    samples: np.ndarray
+    groups: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
     total_cost: float
     predicted_variance: np.ndarray
 
@@ -155,13 +158,22 @@ def mlmc_levels(subset, costs):
 
 
 def _subset_outputs_ok(models: ModelSet, store: CovarianceStore, subset) -> bool:
-    for i in subset:
-        if not models.produces[i - 1].all():
-            return False
-    for s in range(1, store.num_outputs + 1):
-        if not store.group_known(subset, s):
-            return False
-    return True
+    row = np.zeros((1, models.num_models), dtype=bool)
+    row[0, np.asarray(subset) - 1] = True
+    if not models.produces[row[0]].all():
+        return False
+    return all(store.known_groups(row, s)[0]
+               for s in range(1, store.num_outputs + 1))
+
+
+def _suffix_groups(per_model):
+    """(groups, count increments) of nested, positive per-model counts."""
+    groups, counts, prev = [], [], 0
+    for level in sorted(set(per_model.values())):
+        groups.append(tuple(i for i in sorted(per_model) if per_model[i] >= level))
+        counts.append(level - prev)
+        prev = level
+    return tuple(groups), tuple(counts)
 
 
 def multi_output_baseline(
@@ -196,18 +208,19 @@ def multi_output_baseline(
             result = _evaluate_subset(method, models, store, subset, eps2)
             if result is None:
                 continue
-            samples, cost, variances = result
+            groups, counts, cost, variances = result
             key = (cost, subset)
             if best is None or key < best[0]:
-                best = (key, subset, samples, cost, variances)
+                best = (key, subset, groups, counts, cost, variances)
 
     if best is None:
         raise ValueError(f"no admissible {method.upper()} configuration")
-    _, subset, samples, cost, variances = best
+    _, subset, groups, counts, cost, variances = best
     return BaselineAllocation(
         method=method,
         model_subset=subset,
-        samples=samples,
+        groups=groups,
+        counts=counts,
         total_cost=cost,
         predicted_variance=variances,
     )
@@ -245,7 +258,7 @@ def _evaluate_subset(method, models, store, subset, eps2):
         variances = np.array(
             [mlmc_variance(level_vars[s], samples) for s in range(m)]
         )
-        return samples, cost, variances
+        return tuple(levels), tuple(int(v) for v in samples), cost, variances
 
     # mfmc: per-output ordering by |correlation with model 1|
     per_model_max = {i: 0 for i in subset}
@@ -278,7 +291,6 @@ def _evaluate_subset(method, models, store, subset, eps2):
         for i, c in zip(ordered_models, counts):
             per_model_max[i] = max(per_model_max[i], int(c))
 
-    samples = np.array([per_model_max[i] for i in sorted(subset)])
     cost = float(
         sum(costs[i - 1] * per_model_max[i] for i in subset)
     )
@@ -288,4 +300,4 @@ def _evaluate_subset(method, models, store, subset, eps2):
             for (_, sig2o, rhoo, counts) in per_output
         ]
     )
-    return samples, cost, variances
+    return (*_suffix_groups(per_model_max), cost, variances)

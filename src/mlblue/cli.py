@@ -125,7 +125,7 @@ def _cmd_benchmark(args):
         try:
             base = multi_output_baseline(method, cfg.models, cfg.store,
                                          cfg.tolerances)
-            rows[method] = baseline_to_json(base, cfg.models)
+            rows[method] = baseline_to_json(base)
         except ValueError as exc:
             rows[method] = {"method": method, "error": str(exc)}
     if args.output:

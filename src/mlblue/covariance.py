@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import restriction_indices
-
 __all__ = [
     "CovarianceStore",
     "PilotBatch",
@@ -81,10 +79,11 @@ class CovarianceStore:
     def matrix(self, output: int = 1) -> np.ndarray:
         return self.matrices[output - 1]
 
-    def group_known(self, group, output: int = 1) -> bool:
-        """True when every pairwise entry of the group is known."""
-        idx = restriction_indices(group, self.num_models)
-        return bool(self.known[output - 1][np.ix_(idx, idx)].all())
+    def known_groups(self, members, output: int = 1) -> np.ndarray:
+        """Mask over the rows of a (num_groups, num_models) bool membership
+        matrix: True where every pairwise entry of the row's models is known."""
+        holes = (members @ ~self.known[output - 1]) & members
+        return ~holes.any(axis=1)
 
     def with_updates(self, output: int, updates) -> "CovarianceStore":
         """New store with (i, j, value) entries set symmetrically.

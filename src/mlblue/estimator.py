@@ -31,7 +31,6 @@ __all__ = [
     "pseudo_inverse",
     "blue_variance",
     "realized_variance",
-    "null_space_basis",
     "combine_samples",
     "normalized_error",
 ]
@@ -81,10 +80,11 @@ class BlueSystem:
     def from_covariance(
         cls, groups: GroupSet, store: CovarianceStore, output: int = 1
     ) -> "BlueSystem":
-        matrix, known = store.matrices[output - 1], store.known[output - 1]
-        # usable: allowed for the output, with every member pair known
-        holes = ((groups.members @ ~known) & groups.members).any(axis=1)
-        usable = np.flatnonzero(groups.per_output_allowed[output - 1] & ~holes)
+        matrix = store.matrices[output - 1]
+        usable = np.flatnonzero(
+            groups.per_output_allowed[output - 1]
+            & store.known_groups(groups.members, output)
+        )
         members = groups.members[usable]
         sizes = members.sum(axis=1)
         dim = groups.num_models
@@ -251,18 +251,6 @@ def realized_variance(system: BlueSystem, n, true_store: CovarianceStore) -> flo
     # w_k vanishes outside group k, so the truth enters by group blocks only
     truth = true_store.matrices[system.output - 1]
     return float(np.einsum("k,ki,ij,kj->", counts[sampled], w_k, truth, w_k))
-
-
-def null_space_basis(system: BlueSystem, n) -> np.ndarray:
-    """Orthonormal basis of the information matrix's null space.
-
-    Combinatorial, not numerical: the null space is spanned by the
-    coordinate directions of models that appear in no group with a strictly
-    positive allocation entry.
-    """
-    n = _check_allocation(system, n)
-    covered = system.members[n[system.group_indices] > 0.0].any(axis=0)
-    return np.eye(system.num_models)[:, ~covered]
 
 
 def combine_samples(system: BlueSystem, n, sums: dict) -> np.ndarray:

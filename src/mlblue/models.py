@@ -14,7 +14,7 @@ computed from.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ModelSet",
     "GroupSet",
     "enumerate_groups",
-    "restriction_indices",
 ]
 
 
@@ -88,7 +87,8 @@ class GroupSet:
     """An ordered collection of sampling groups over a model set.
 
     Groups are sorted by size and then lexicographically by member ids, so
-    the index of a group is reproducible across runs. Row k of ``members``
+    the index of a group, ``groups.index(ids)`` with its ids ascending, is
+    reproducible across runs. Row k of ``members``
     marks the models of group k. ``per_output_allowed`` marks, for each
     output, the groups whose members all produce that output; only those
     groups can contribute to that output's estimator.
@@ -98,12 +98,6 @@ class GroupSet:
     group_costs: np.ndarray  # shape (num_groups,)
     per_output_allowed: np.ndarray  # bool, shape (num_outputs, num_groups)
     members: np.ndarray  # bool, shape (num_groups, num_models), read-only
-    _index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {g: k for k, g in enumerate(self.groups)}
-        )
 
     @property
     def num_groups(self) -> int:
@@ -112,10 +106,6 @@ class GroupSet:
     @property
     def num_models(self) -> int:
         return self.members.shape[1]
-
-    def index_of(self, group) -> int:
-        """Index of a group given as an iterable of 1-based model ids."""
-        return self._index[tuple(sorted(int(i) for i in group))]
 
     def contains_highfi(self) -> np.ndarray:
         """Boolean mask of groups containing model 1."""
@@ -166,18 +156,3 @@ def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
             )
     return gs
 
-
-def restriction_indices(group, num_models: int) -> tuple[int, ...]:
-    """0-based positions of a group's models within the full model vector.
-
-    The returned tuple is sorted ascending, so extracting rows/columns with
-    it preserves the global model order.
-    """
-    idx = sorted(int(i) - 1 for i in group)
-    if not idx:
-        raise ValueError("group must be nonempty")
-    if idx[0] < 0 or idx[-1] >= num_models:
-        raise ValueError(f"group {tuple(group)} out of range for {num_models} models")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"group {tuple(group)} has repeated members")
-    return tuple(idx)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocate import Allocation, MosapSpec, scale_free_tau
-from .baselines import BaselineAllocation, mlmc_levels
+from .baselines import BaselineAllocation
 from .config import ConfigError, ProblemConfig
 from .estimator import blue_variance, combine_samples
 from .models import GroupSet
@@ -276,35 +276,13 @@ def allocation_to_json(alloc: Allocation, groups: GroupSet) -> dict:
     }
 
 
-def baseline_to_json(baseline: BaselineAllocation, models) -> dict:
-    """Baseline allocation in the same wire shape, plus a method tag.
-
-    For 'mlmc' the groups are the level pairs (last level a singleton).
-    For 'mfmc' the nested per-model counts decompose into suffix groups:
-    sort models by count, the j-th group holds every model whose count
-    reaches the j-th distinct level and draws the increment.
-    """
-    if baseline.method == "mlmc":
-        _, levels = mlmc_levels(baseline.model_subset, models.costs)
-        groups = [list(level) for level in levels]
-        counts = [int(v) for v in baseline.samples]
-    else:
-        subset = sorted(baseline.model_subset)
-        per_model = {i: int(v) for i, v in zip(subset, baseline.samples)}
-        distinct = sorted(set(per_model.values()))
-        groups, counts = [], []
-        prev = 0
-        for level in distinct:
-            members = [i for i in subset if per_model[i] >= level]
-            if level > prev and members:
-                groups.append(members)
-                counts.append(level - prev)
-            prev = level
+def baseline_to_json(baseline: BaselineAllocation) -> dict:
+    """Baseline allocation in the same wire shape, plus a method tag."""
     return {
         "method": baseline.method,
         "mode": "tolerance",
-        "n": counts,
-        "groups": groups,
+        "n": list(baseline.counts),
+        "groups": [list(g) for g in baseline.groups],
         "total_cost": float(baseline.total_cost),
         "per_output_variance": [float(v) for v in baseline.predicted_variance],
         "solver": {"iterations": 0, "gap": None},

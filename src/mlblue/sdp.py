@@ -51,7 +51,6 @@ __all__ = [
     "SdpSettings",
     "SdpSolution",
     "solve_sdp",
-    "verify_schur_feasibility",
 ]
 
 
@@ -148,7 +147,8 @@ class PsdBlock:
     """Affine matrix map constant + sum_j coefficients[j] * x[var_indices[j]].
 
     The map's value is constrained to the PSD cone. Coefficients must be
-    symmetric; only the variables actually appearing in the block are listed.
+    finite and symmetric; only the variables actually appearing in the block
+    are listed.
     """
 
     constant: np.ndarray  # (p, p)
@@ -168,7 +168,8 @@ class PsdBlock:
             raise ValueError("one variable index per coefficient matrix")
         if len(set(var_indices.tolist())) != var_indices.size:
             raise ValueError("repeated variable index in block")
-        stack = np.concatenate([constant[None], coefficients], axis=0)
+        # before the symmetry test, where inf - inf would warn
+        stack = _finite(np.concatenate([constant[None], coefficients], axis=0))
         asym = np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0)
         if asym > 1e-12 * max(np.abs(stack).max(initial=0.0), 1.0):
             raise ValueError("block matrices must be symmetric")
@@ -523,30 +524,3 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         iterations=it,
     )
 
-
-def verify_schur_feasibility(t, psi, rtol: float = 1e-8, border=None) -> bool:
-    """Certify [[psi, border], [border', t]] >= 0 without forming the block.
-
-    Checks the generalized Schur-complement conditions for PSD bordered
-    matrices: psi is PSD, the border lies in psi's column space, and
-    t >= border' psi^+ border, all to relative tolerance rtol. The border
-    defaults to the first coordinate direction. Serves as an independent
-    feasibility certificate for solutions of the allocation SDPs.
-    """
-    psi = np.asarray(psi, dtype=float)
-    n = psi.shape[0]
-    if border is None:
-        border = np.zeros(n)
-        border[0] = 1.0
-    border = np.asarray(border, dtype=float)
-    w, v = np.linalg.eigh(_sym(psi))
-    lam_max = max(w[-1], 0.0)
-    if w[0] < -rtol * max(lam_max, 1.0):
-        return False
-    keep = w > rtol * lam_max
-    coeff = v.T @ border
-    outside = np.linalg.norm(coeff[~keep])
-    if outside > rtol * max(1.0, np.linalg.norm(border)):
-        return False
-    quad = float(np.sum(coeff[keep] ** 2 / w[keep]))
-    return bool(t >= quad - rtol * max(1.0, abs(t), quad))

@@ -543,7 +543,7 @@ def test_criterion_09_integer_projection_optimality():
     cov = random_spd(rng, 4)
     models, groups, systems = single_output_problem(costs, cov)
     g = groups.num_groups
-    k_single = groups.index_of((1,))
+    k_single = groups.groups.index((1,))
     ok = True
     largest = 0
     for inst in range(50):

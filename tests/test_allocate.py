@@ -18,7 +18,7 @@ from mlblue.allocate import (
     systems_from_store,
 )
 from mlblue.covariance import CovarianceStore
-from mlblue.estimator import assemble_psi, blue_variance, null_space_basis
+from mlblue.estimator import assemble_psi, blue_variance
 from mlblue.models import ModelSet, enumerate_groups
 from mlblue.sdp import SdpSettings
 from mlblue.synthetic import SyntheticSuite
@@ -119,8 +119,6 @@ def test_multi_output_structural_zero():
     assert alloc.solver_status == "optimal"
     psi2 = assemble_psi(systems[1], alloc.n)
     assert np.all(psi2[2] == 0) and np.all(psi2[:, 2] == 0)
-    basis = null_space_basis(systems[1], alloc.n)
-    assert any(np.allclose(basis[:, j], [0, 0, 1]) for j in range(basis.shape[1]))
 
 
 def test_unusable_groups_get_no_samples():
@@ -139,7 +137,7 @@ def test_unusable_groups_get_no_samples():
     spec = MosapSpec(mode="budget", groups=gs, systems=systems, budget=40.0)
     alloc = solve_mosap(spec)
     for bad in ((2, 3), (1, 2, 3)):
-        assert alloc.n[gs.index_of(bad)] == 0.0
+        assert alloc.n[gs.groups.index(bad)] == 0.0
 
 
 def test_budget_homogeneity():
@@ -211,8 +209,8 @@ def test_projection_matches_exhaustive_enumeration():
     spec, gs = single_output_spec([1.0, 0.1], cov, "budget", budget=12.0)
     # fabricated fractional point, comfortably inside the budget
     frac = np.zeros(gs.num_groups)
-    frac[gs.index_of((1,))] = 2.3
-    frac[gs.index_of((2,))] = 7.8
+    frac[gs.groups.index((1,))] = 2.3
+    frac[gs.groups.index((2,))] = 7.8
     out = integer_projection(spec, fabricate(spec, frac))
     # replicate the projection rule by hand over the 4 corners
     from mlblue.allocate import _integer_feasible
@@ -220,8 +218,8 @@ def test_projection_matches_exhaustive_enumeration():
     best = None
     for da, db in itertools.product((0, 1), repeat=2):
         cand = frac.copy()
-        cand[gs.index_of((1,))] = 2.0 + da
-        cand[gs.index_of((2,))] = 7.0 + db
+        cand[gs.groups.index((1,))] = 2.0 + da
+        cand[gs.groups.index((2,))] = 7.0 + db
         ok, variances = _integer_feasible(spec, cand)
         if not ok:
             continue
@@ -320,9 +318,9 @@ def projection_case(name):
     spec, gs = single_output_spec([4.0, 1.0, 1.0], np.diag([1.0, 2.0, 3.0]),
                                   "tolerance", tolerances=[100.0])
     n = np.zeros(gs.num_groups)
-    n[[gs.index_of((1, 2)), gs.index_of((1, 3))]] = 0.5
-    n[gs.index_of((2,))] = 2.5
-    n[gs.index_of((2, 3))] = 1.25
+    n[[gs.groups.index((1, 2)), gs.groups.index((1, 3))]] = 0.5
+    n[gs.groups.index((2,))] = 2.5
+    n[gs.groups.index((2, 3))] = 1.25
     return spec, n
 
 
@@ -391,6 +389,32 @@ def test_projection_reports_greedy_rounding(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "integer projection: rounded 8 of 10 fractional entries up before "
         "enumerating\n"
+        "integer projection: no rounding is feasible; scaled the allocation "
+        "onto the budget and floored it\n"
+    )
+
+
+def test_projection_falls_back_to_the_ceiling(capsys):
+    # the floor 2 breaks the tolerance (variance 2) and the ceiling 3 the cap
+    spec, gs = single_output_spec([1.0], [[4.0]], "tolerance",
+                                  tolerances=[1.6], extra_linear=(([1.0], 2.5),))
+    out = integer_projection(spec, fabricate(spec, [2.5]))
+    assert out.n.tolist() == [3.0] and out.fallback
+    assert out.per_output_variance.tolist() == [4.0 / 3.0]
+    assert capsys.readouterr().err == (
+        "integer projection: no rounding is feasible; rounded every entry up\n"
+    )
+
+
+def test_projection_fallback_may_sample_nothing(capsys):
+    # the floor 0 leaves model 1 unsampled and the ceiling 1 is over budget;
+    # scaled onto the budget and floored, nothing is sampled at all
+    spec, _ = single_output_spec([1.0], [[4.0]], "budget", budget=0.5)
+    out = integer_projection(spec, fabricate(spec, [0.4]))
+    assert out.n.tolist() == [0.0] and out.fallback
+    assert out.per_output_variance.tolist() == [np.inf]
+    assert out.objective_value == np.inf
+    assert capsys.readouterr().err == (
         "integer projection: no rounding is feasible; scaled the allocation "
         "onto the budget and floored it\n"
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlblue.baselines import (
+    _suffix_groups,
     mfmc_allocation,
     mfmc_variance,
     mlmc_allocation,
@@ -74,6 +75,34 @@ def test_mlmc_levels_order_and_pairs():
     # cost tie broken by id
     order, _ = mlmc_levels((1, 2, 3), np.array([2.0, 2.0, 2.0]))
     assert order == [1, 2, 3]
+
+
+def test_mlmc_baseline_groups_are_the_level_pairs():
+    rng = np.random.default_rng(48)
+    for _ in range(10):
+        costs = np.array([4.0, 0.5, 0.05])
+        store = CovarianceStore(random_spd(rng, 3)[None])
+        alloc = multi_output_baseline("mlmc", ModelSet(costs), store,
+                                      [0.01 * store.matrix(1)[0, 0]])
+        assert list(alloc.groups) == mlmc_levels(alloc.model_subset, costs)[1]
+        assert len(alloc.counts) == len(alloc.groups)
+        assert all(isinstance(c, int) and c >= 1 for c in alloc.counts)
+        cost = sum(c * costs[np.asarray(g) - 1].sum()
+                   for g, c in zip(alloc.groups, alloc.counts))
+        assert cost == pytest.approx(alloc.total_cost, rel=1e-12)
+
+
+def test_suffix_groups_split_nested_counts():
+    groups, counts = _suffix_groups({1: 2, 2: 5, 3: 5})
+    assert groups == ((1, 2, 3), (2, 3))
+    assert counts == (2, 3)
+    # per-model totals reconstruct the nested counts
+    totals = {1: 0, 2: 0, 3: 0}
+    for g, c in zip(groups, counts):
+        for i in g:
+            totals[i] += c
+    assert totals == {1: 2, 2: 5, 3: 5}
+    assert _suffix_groups({1: 7}) == (((1,),), (7,))
 
 
 def test_mfmc_single_model_is_plain_mc():
@@ -217,7 +246,7 @@ def test_multi_output_identical_outputs_match_single():
         a = multi_output_baseline(method, models1, store1, [eps2])
         b = multi_output_baseline(method, models2, store2, [eps2, eps2])
         assert a.model_subset == b.model_subset
-        assert np.array_equal(a.samples, b.samples)
+        assert (a.groups, a.counts) == (b.groups, b.counts)
         assert a.total_cost == b.total_cost
 
 

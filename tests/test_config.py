@@ -51,8 +51,8 @@ def test_null_entry_denies_group():
         "mode": {"type": "budget", "budget": 50.0},
     }
     cfg = parse_problem(raw)
-    assert not cfg.store.group_known((1, 3))
-    assert cfg.store.group_known((1, 2)) and cfg.store.group_known((2, 3))
+    rows = np.array([[True, False, True], [True, True, False], [False, True, True]])
+    assert cfg.store.known_groups(rows).tolist() == [False, True, True]
     # the group survives enumeration but no estimator term uses it
     from mlblue.allocate import systems_from_store
 

@@ -9,7 +9,6 @@ from mlblue.estimator import (
     assemble_psi,
     blue_variance,
     combine_samples,
-    null_space_basis,
     pseudo_inverse,
     realized_variance,
 )
@@ -34,8 +33,8 @@ def test_psi_single_model():
 def test_psi_disjoint_singletons():
     gs, sys2 = system_for([2.0, 1.0], np.eye(2), deny=[(1, 2)])
     n = np.zeros(gs.num_groups)
-    n[gs.index_of((1,))] = 3.0
-    n[gs.index_of((2,))] = 7.0
+    n[gs.groups.index((1,))] = 3.0
+    n[gs.groups.index((2,))] = 7.0
     assert np.allclose(assemble_psi(sys2, n), np.diag([3.0, 7.0]))
 
 
@@ -43,7 +42,7 @@ def test_psi_joint_group_is_scaled_inverse():
     c = np.array([[1.0, 0.9], [0.9, 1.0]])
     gs, sys2 = system_for([2.0, 1.0], c, deny=[(1,), (2,)])
     n = np.zeros(gs.num_groups)
-    n[gs.index_of((1, 2))] = 10.0
+    n[gs.groups.index((1, 2))] = 10.0
     psi = assemble_psi(sys2, n)
     assert np.allclose(psi, 10.0 * np.linalg.inv(c), rtol=1e-12)
     assert np.allclose(pseudo_inverse(psi), c / 10.0, rtol=1e-12)
@@ -77,7 +76,7 @@ def test_variance_joint_group_is_plain_mc():
     c = np.array([[1.0, 0.9], [0.9, 1.0]])
     gs, sys2 = system_for([2.0, 1.0], c, deny=[(1,), (2,)])
     n = np.zeros(gs.num_groups)
-    n[gs.index_of((1, 2))] = 10.0
+    n[gs.groups.index((1, 2))] = 10.0
     assert blue_variance(sys2, n) == pytest.approx(0.1, rel=1e-12)
 
 
@@ -88,7 +87,7 @@ def test_variance_matches_monte_carlo():
     c = np.array([[1.0, rho], [rho, 1.0]])
     gs, sys2 = system_for([2.0, 1.0], c)
     n = np.zeros(gs.num_groups)
-    k12, k2 = gs.index_of((1, 2)), gs.index_of((2,))
+    k12, k2 = gs.groups.index((1, 2)), gs.groups.index((2,))
     n[k12], n[k2] = 10.0, 100.0
     predicted = blue_variance(sys2, n)
 
@@ -135,7 +134,7 @@ def test_unsampled_model_zeroes_psi_rows():
     rng = np.random.default_rng(13)
     gs, sys3 = system_for([4.0, 2.0, 1.0], random_spd(rng, 3))
     n = np.zeros(gs.num_groups)
-    n[gs.index_of((1, 2))] = 5.0  # model 3 never drawn
+    n[gs.groups.index((1, 2))] = 5.0  # model 3 never drawn
     psi = assemble_psi(sys3, n)
     pinv = pseudo_inverse(psi)
     assert np.all(psi[2] == 0) and np.all(psi[:, 2] == 0)
@@ -145,23 +144,25 @@ def test_unsampled_model_zeroes_psi_rows():
 def test_null_space_examples():
     gs, sys2 = system_for([2.0, 1.0], np.eye(2))
     n = np.zeros(gs.num_groups)
-    n[gs.index_of((1,))] = 4.0
-    basis = null_space_basis(sys2, n)
-    assert basis.shape == (2, 1)
-    assert np.allclose(basis[:, 0], [0.0, 1.0])
-    # all models sampled: empty basis
-    assert null_space_basis(sys2, np.full(gs.num_groups, 1.0)).shape == (2, 0)
+    n[gs.groups.index((1,))] = 4.0
+    # model 2 is unsampled: its coordinate vector spans Psi's null space
+    psi = assemble_psi(sys2, n)
+    assert np.all(psi[1] == 0) and np.all(psi[:, 1] == 0)
+    w = np.linalg.eigvalsh(psi)
+    assert w[0] == 0.0 and w[1] > 0.0
+    # all models sampled: no null space
+    psi = assemble_psi(sys2, np.full(gs.num_groups, 1.0))
+    assert np.linalg.eigvalsh(psi)[0] > 0.0
 
 
 def test_null_space_matches_eigendecomposition():
     rng = np.random.default_rng(14)
     gs, sys3 = system_for([4.0, 2.0, 1.0], random_spd(rng, 3))
     n = np.zeros(gs.num_groups)
-    n[gs.index_of((1, 2))] = 6.0
-    basis = null_space_basis(sys3, n)
-    assert np.allclose(basis[:, 0], [0.0, 0.0, 1.0])
+    n[gs.groups.index((1, 2))] = 6.0
     psi = assemble_psi(sys3, n)
-    assert np.linalg.norm(psi @ basis[:, 0]) == 0.0
+    # model 3 is unsampled: its coordinate vector is a null vector of Psi
+    assert np.linalg.norm(psi @ np.array([0.0, 0.0, 1.0])) == 0.0
     w = np.linalg.eigvalsh(psi)
     assert w[0] == pytest.approx(0.0, abs=1e-12 * w[-1])
 
@@ -175,13 +176,12 @@ def test_all_sampled_always_nonsingular():
         n = rng.uniform(0.01, 4.0, gs.num_groups)
         psi = assemble_psi(sysl, n)
         assert np.linalg.eigvalsh(psi)[0] > 0.0
-        assert null_space_basis(sysl, n).shape == (ell, 0)
 
 
 def test_combine_samples_zero_variance_recovers_mean():
     gs, sys2 = system_for([2.0, 1.0], np.eye(2))
     n = np.zeros(gs.num_groups)
-    k1, k12 = gs.index_of((1,)), gs.index_of((1, 2))
+    k1, k12 = gs.groups.index((1,)), gs.groups.index((1, 2))
     n[k1], n[k12] = 2.0, 3.0
     mu = np.array([1.5, -0.25])
     sums = {k1: 2 * mu[:1], k12: 3 * mu}
@@ -201,7 +201,7 @@ def test_combine_samples_replicated_unbiased_and_calibrated():
     mu = np.array([2.0, -1.0])
     gs, sys2 = system_for([2.0, 1.0], c, deny=[(1,), (2,)])
     n = np.zeros(gs.num_groups)
-    k12 = gs.index_of((1, 2))
+    k12 = gs.groups.index((1, 2))
     n[k12] = 8.0
     predicted = blue_variance(sys2, n)
     chol = np.linalg.cholesky(c)
@@ -218,7 +218,7 @@ def test_combine_samples_replicated_unbiased_and_calibrated():
 def test_combine_samples_validates_shapes():
     gs, sys2 = system_for([2.0, 1.0], np.eye(2))
     n = np.zeros(gs.num_groups)
-    k12 = gs.index_of((1, 2))
+    k12 = gs.groups.index((1, 2))
     n[k12] = 2.0
     with pytest.raises(ValueError, match=f"group {k12}"):
         combine_samples(sys2, n, {k12: np.zeros(3)})
@@ -233,7 +233,7 @@ def test_non_finite_covariance_and_samples_raise():
         BlueSystem.from_covariance(gs, CovarianceStore(cov[None]))
     _, sys2 = system_for([2.0, 1.0], np.eye(2))
     n = np.zeros(gs.num_groups)
-    k12 = gs.index_of((1, 2))
+    k12 = gs.groups.index((1, 2))
     n[k12] = 2.0
     with pytest.raises(ValueError, match=f"group {k12} samples are not finite"):
         combine_samples(sys2, n, {k12: np.array([np.inf, 2.0])})
@@ -242,11 +242,11 @@ def test_non_finite_covariance_and_samples_raise():
 def test_ill_posed_allocation_raises():
     gs, sys2 = system_for([2.0, 1.0], np.eye(2))
     n = np.zeros(gs.num_groups)
-    n[gs.index_of((2,))] = 50.0  # model 1 never sampled
+    n[gs.groups.index((2,))] = 50.0  # model 1 never sampled
     with pytest.raises(IllPosedError):
         blue_variance(sys2, n)
     with pytest.raises(IllPosedError):
-        combine_samples(sys2, n, {gs.index_of((2,)): np.zeros(1)})
+        combine_samples(sys2, n, {gs.groups.index((2,)): np.zeros(1)})
 
 
 def test_system_construction_requires_usable_highfi_group():
@@ -269,9 +269,10 @@ def test_system_skips_unknown_groups():
     usable = [gs.groups[k] for k in system.group_indices]
     assert (1, 3) not in usable
     assert (1, 2) in usable and (2, 3) in usable
-    assert store.group_known((1, 2)) and not store.group_known((1, 3))
+    rows = np.array([[True, True, False], [True, False, True]])
+    assert store.known_groups(rows).tolist() == [True, False]
     expect = gs.per_output_allowed[0] & gs.contains_highfi()
-    expect[gs.index_of((1, 3))] = False
+    expect[gs.groups.index((1, 3))] = False
     assert np.array_equal(system.anchor_mask, expect)
 
 
@@ -287,9 +288,13 @@ def _group_by_group_stacks(groups, store, output):
         out = (eigvecs * np.maximum(eigvals, level)) @ eigvecs.T
         return 0.5 * (out + out.T)
 
+    def known(group):
+        idx = np.asarray(group) - 1
+        return store.known[output - 1][np.ix_(idx, idx)].all()
+
     allowed = groups.per_output_allowed[output - 1]
     usable = [k for k, group in enumerate(groups.groups)
-              if allowed[k] and store.group_known(group, output)]
+              if allowed[k] and known(group)]
     size = groups.num_models
     members = np.zeros((len(usable), size), dtype=bool)
     information = np.zeros((len(usable), size, size))
@@ -371,7 +376,7 @@ def test_stacks_match_dense_group_reference():
 
     n = rng.integers(0, 4, gs.num_groups).astype(float)
     for i in range(1, 6):
-        n[gs.index_of((i,))] = rng.integers(1, 4)
+        n[gs.groups.index((i,))] = rng.integers(1, 4)
     psi = np.zeros((5, 5))
     rhs = np.zeros(5)
     inverses = {}
@@ -445,7 +450,7 @@ def test_lifted_inverse_bounded_near_perfect_correlation():
     rho = 1.0 - 1e-10
     cov = [[1.0, rho], [rho, 1.0]]
     gs, system = system_for([1.0, 0.5], cov)
-    (j,) = np.flatnonzero(system.group_indices == gs.index_of((1, 2)))
+    (j,) = np.flatnonzero(system.group_indices == gs.groups.index((1, 2)))
     lam_max = np.linalg.eigvalsh(cov)[-1]
     # the lifted spectrum's floor is 1e-6 * lam_max; allow for rounding only
     assert np.linalg.norm(system.lifted[j], 2) <= 1e6 / lam_max * (1.0 + 1e-9)

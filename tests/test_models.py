@@ -8,7 +8,6 @@ from mlblue.models import (
     GroupSet,
     ModelSet,
     enumerate_groups,
-    restriction_indices,
 )
 
 from conftest import all_output_modelset
@@ -88,28 +87,10 @@ def test_per_output_allowed_respects_subset_rule():
         [8.0, 4.0, 2.0], outputs=[[1, 2], [1], [2]], num_outputs=2
     )
     gs = enumerate_groups(models, kappa=2)
-    k12 = gs.index_of((1, 2))
-    k13 = gs.index_of((1, 3))
+    k12 = gs.groups.index((1, 2))
+    k13 = gs.groups.index((1, 3))
     assert gs.per_output_allowed[0, k12] and not gs.per_output_allowed[1, k12]
     assert gs.per_output_allowed[1, k13] and not gs.per_output_allowed[0, k13]
-
-
-def test_restriction_indices_examples():
-    assert restriction_indices((1, 3), 3) == (0, 2)
-    assert restriction_indices((2,), 2) == (1,)
-    assert restriction_indices((1, 2, 3), 3) == (0, 1, 2)
-    # rows of the identity picked by those positions give the selection map
-    r = np.eye(3)[list(restriction_indices((1, 3), 3))]
-    assert np.array_equal(r, [[1, 0, 0], [0, 0, 1]])
-
-
-def test_restriction_indices_rejects_bad_groups():
-    with pytest.raises(ValueError):
-        restriction_indices((), 3)
-    with pytest.raises(ValueError):
-        restriction_indices((1, 4), 3)
-    with pytest.raises(ValueError):
-        restriction_indices((2, 2), 3)
 
 
 def test_budget_feasibility_per_output():
@@ -152,10 +133,12 @@ def test_members_matrix_matches_groups_and_is_read_only():
 def test_group_lookup_roundtrip():
     models = ModelSet(np.ones(6))
     gs = enumerate_groups(models, kappa=3)
+    # ids ascending and no group twice, so a group's ids find its index
+    assert all(list(g) == sorted(g) for g in gs.groups)
     for k, g in enumerate(gs.groups):
-        assert gs.index_of(g) == k
-    with pytest.raises(KeyError):
-        gs.index_of((1, 2, 3, 4))
+        assert gs.groups.index(g) == k
+    with pytest.raises(ValueError):
+        gs.groups.index((1, 2, 3, 4))
 
 
 def test_enumeration_matches_itertools_reference():

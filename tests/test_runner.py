@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from mlblue.allocate import integer_projection, solve_mosap
-from mlblue.baselines import BaselineAllocation
+from mlblue.baselines import BaselineAllocation, multi_output_baseline
 from mlblue.config import ConfigError, parse_problem
+from mlblue.covariance import CovarianceStore
 from mlblue.estimator import IllPosedError, normalized_error
+from mlblue.models import ModelSet
 from mlblue.runner import (
     EvaluatorError,
     allocation_to_json,
@@ -47,8 +49,8 @@ def test_zero_variance_suite_recovers_offset_exactly():
         synthetic={"loadings": [[0.0, 0.0], [0.0, 0.0]], "means": [3.25, -1.5]},
     )
     n = np.zeros(cfg.groups.num_groups)
-    n[cfg.groups.index_of((1,))] = 3
-    n[cfg.groups.index_of((1, 2))] = 2
+    n[cfg.groups.groups.index((1,))] = 3
+    n[cfg.groups.groups.index((1, 2))] = 2
     report = run_estimate(replace(cfg, seed=1), n, replications=5)
     assert report.estimates == pytest.approx(np.full((5, 1), 3.25), abs=1e-9)
     assert report.empirical_variance[0] <= 1e-20
@@ -68,9 +70,9 @@ def test_empirical_variance_calibrated():
 def test_cost_accounting_exact():
     cfg = two_model_config()
     n = np.zeros(cfg.groups.num_groups)
-    n[cfg.groups.index_of((1,))] = 7
-    n[cfg.groups.index_of((2,))] = 11
-    n[cfg.groups.index_of((1, 2))] = 2
+    n[cfg.groups.groups.index((1,))] = 7
+    n[cfg.groups.groups.index((2,))] = 11
+    n[cfg.groups.groups.index((1, 2))] = 2
     report = run_estimate(cfg, n, replications=2)
     assert report.total_cost == 7 * 2.0 + 11 * 0.5 + 2 * 2.5
 
@@ -106,7 +108,7 @@ def two_output_config():
 def two_output_allocation(cfg):
     n = np.zeros(cfg.groups.num_groups)
     for group, count in (((1,), 2), ((1, 2), 3), ((2, 3), 4), ((3,), 5)):
-        n[cfg.groups.index_of(group)] = count
+        n[cfg.groups.groups.index(group)] = count
     return n
 
 
@@ -187,42 +189,30 @@ def test_baseline_json_mlmc_levels_are_groups():
     base = BaselineAllocation(
         method="mlmc",
         model_subset=(1, 2, 3),
-        samples=np.array([4, 9, 25]),
+        groups=((1, 2), (2, 3), (3,)),
+        counts=(4, 9, 25),
         total_cost=17.0,
         predicted_variance=np.array([0.01]),
     )
-    cfg = two_model_config()
-
-    class Models:
-        costs = np.array([4.0, 2.0, 1.0])
-
-    data = baseline_to_json(base, Models())
+    data = baseline_to_json(base)
     assert data["method"] == "mlmc"
     assert data["groups"] == [[1, 2], [2, 3], [3]]
     assert data["n"] == [4, 9, 25]
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_baseline_json_mfmc_suffix_decomposition():
-    base = BaselineAllocation(
-        method="mfmc",
-        model_subset=(1, 2, 3),
-        samples=np.array([2, 5, 5]),
-        total_cost=11.0,
-        predicted_variance=np.array([0.02]),
-    )
-
-    class Models:
-        costs = np.array([4.0, 2.0, 1.0])
-
-    data = baseline_to_json(base, Models())
-    assert data["groups"] == [[1, 2, 3], [2, 3]]
-    assert data["n"] == [2, 3]
-    # per-model totals reconstruct the nested counts
-    totals = {1: 0, 2: 0, 3: 0}
-    for g, c in zip(data["groups"], data["n"]):
-        for i in g:
-            totals[i] += c
-    assert totals == {1: 2, 2: 5, 3: 5}
+    models = ModelSet([4.0, 0.5, 0.05])
+    store = CovarianceStore([[1.0, 0.95, 0.9], [0.95, 1.0, 0.93], [0.9, 0.93, 1.0]])
+    data = baseline_to_json(multi_output_baseline("mfmc", models, store, [0.01]))
+    groups, counts = data["groups"], data["n"]
+    # nested suffix groups: the first holds every model, each the next
+    assert groups == [[1, 2, 3], [2, 3], [3]]
+    assert all(set(b) < set(a) for a, b in zip(groups, groups[1:]))
+    assert all(isinstance(c, int) and c > 0 for c in counts)
+    cost = sum(c * models.costs[np.asarray(g) - 1].sum()
+               for g, c in zip(groups, counts))
+    assert cost == pytest.approx(data["total_cost"], rel=1e-12)
 
 
 def test_frontier_csv_format():
@@ -329,8 +319,8 @@ def test_command_evaluator_matches_synthetic_path(tmp_path):
         covariance={"type": "inline", "matrices": [[1.04, 0.9], [0.9, 0.81]]}
     )
     n = np.zeros(cfg_cmd.groups.num_groups)
-    n[cfg_cmd.groups.index_of((1,))] = 3
-    n[cfg_cmd.groups.index_of((1, 2))] = 4
+    n[cfg_cmd.groups.groups.index((1,))] = 3
+    n[cfg_cmd.groups.groups.index((1, 2))] = 4
     a = run_estimate(replace(cfg_cmd, seed=12), n, replications=6)
     b = run_estimate(replace(cfg_syn, seed=12), n, replications=6)
     assert np.allclose(a.estimates, b.estimates, rtol=1e-12, atol=1e-12)
@@ -340,7 +330,7 @@ def test_command_evaluator_couples_group_inputs(tmp_path):
     log = tmp_path / "log.jsonl"
     cfg = command_config(tmp_path, argv_extra=(str(log),))
     n = np.zeros(cfg.groups.num_groups)
-    k12 = cfg.groups.index_of((1, 2))
+    k12 = cfg.groups.groups.index((1, 2))
     n[k12] = 5
     run_estimate(replace(cfg, seed=6), n, replications=1)
     reqs = [json.loads(ln) for ln in log.read_text().splitlines()]
@@ -360,11 +350,11 @@ def test_command_evaluator_request_order(tmp_path):
     n = np.zeros(cfg.groups.num_groups)
     counts = {(1,): 2, (1, 2): 3}
     for group, count in counts.items():
-        n[cfg.groups.index_of(group)] = count
+        n[cfg.groups.groups.index(group)] = count
     run_estimate(replace(cfg, seed=4), n, replications=2)
     reqs = [json.loads(ln) for ln in log.read_text().splitlines()]
     want = []
-    for k in sorted(cfg.groups.index_of(g) for g in counts):
+    for k in sorted(cfg.groups.groups.index(g) for g in counts):
         group = cfg.groups.groups[k]
         blocks = SyntheticSuite.factor_blocks(counts[group], 2, 4, k, (0, 1))
         for z in blocks:
@@ -380,7 +370,7 @@ def test_command_evaluator_samples_beyond_memory_raise_before_any_request(
     log = tmp_path / "log.jsonl"
     cfg = command_config(tmp_path, argv_extra=(str(log),))
     n = np.zeros(cfg.groups.num_groups)
-    n[cfg.groups.index_of((1,))] = count
+    n[cfg.groups.groups.index((1,))] = count
     with pytest.raises(ConfigError, match=rf"^/mode: group \(1,\) needs {count} "
                                           "samples per replication, which do not fit"):
         run_estimate(cfg, n, replications=2)
@@ -391,7 +381,7 @@ def test_ill_posed_allocation_raises_before_any_request(tmp_path):
     log = tmp_path / "log.jsonl"
     cfg = command_config(tmp_path, argv_extra=(str(log),))
     n = np.zeros(cfg.groups.num_groups)
-    n[cfg.groups.index_of((2,))] = 3  # model 1 is never sampled
+    n[cfg.groups.groups.index((2,))] = 3  # model 1 is never sampled
     with pytest.raises(IllPosedError):
         run_estimate(cfg, n, replications=2)
     assert not log.exists() or log.read_text() == ""
@@ -401,7 +391,7 @@ def test_command_evaluator_failure_names_location(tmp_path):
     dying = "import sys\nsys.stdin.readline()\nsys.exit(3)\n"
     cfg = command_config(tmp_path, script=dying)
     n = np.zeros(cfg.groups.num_groups)
-    n[cfg.groups.index_of((1,))] = 2
+    n[cfg.groups.groups.index((1,))] = 2
     with pytest.raises(EvaluatorError, match=r"group 0 \(replication 0\)"):
         run_estimate(cfg, n, replications=1)
 
@@ -410,7 +400,7 @@ def test_command_evaluator_bad_response(tmp_path):
     chatty = 'import sys\nfor line in sys.stdin: print("not json", flush=True)\n'
     cfg = command_config(tmp_path, script=chatty)
     n = np.zeros(cfg.groups.num_groups)
-    n[cfg.groups.index_of((1,))] = 1
+    n[cfg.groups.groups.index((1,))] = 1
     with pytest.raises(EvaluatorError, match="bad evaluator response"):
         run_estimate(cfg, n, replications=1)
 
@@ -423,7 +413,7 @@ def test_command_evaluator_lingering_after_input_is_killed(tmp_path, monkeypatch
     cfg_slow = command_config(tmp_path / "lingering", script=lingering)
     cfg_fast = command_config(tmp_path / "prompt")
     n = np.zeros(cfg_slow.groups.num_groups)
-    n[cfg_slow.groups.index_of((1, 2))] = 3
+    n[cfg_slow.groups.groups.index((1, 2))] = 3
     a = run_estimate(replace(cfg_slow, seed=5), n, replications=2)
     b = run_estimate(replace(cfg_fast, seed=5), n, replications=2)
     assert np.array_equal(a.estimates, b.estimates)
@@ -452,6 +442,6 @@ def test_command_evaluator_non_finite_response(tmp_path):
     nan = 'import sys\nfor line in sys.stdin: print(\'{"values": [NaN]}\', flush=True)\n'
     cfg = command_config(tmp_path, script=nan)
     n = np.zeros(cfg.groups.num_groups)
-    n[cfg.groups.index_of((1,))] = 1
+    n[cfg.groups.groups.index((1,))] = 1
     with pytest.raises(EvaluatorError, match="bad evaluator response at group 0"):
         run_estimate(cfg, n, replications=1)

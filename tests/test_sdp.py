@@ -16,7 +16,6 @@ from mlblue.sdp import (
     _schur_matrix,
     _tril_inv,
     solve_sdp,
-    verify_schur_feasibility,
 )
 
 from conftest import all_output_modelset
@@ -168,36 +167,6 @@ def test_mosap_objective_matches_grid_oracle():
     assert alloc.max_variance <= best * (1 + 1e-9)  # grid is only an upper bound
 
 
-def test_verify_schur_examples():
-    assert verify_schur_feasibility(1.0, np.eye(2))
-    assert not verify_schur_feasibility(0.999999, np.eye(2), rtol=1e-8)
-    assert not verify_schur_feasibility(5.0, np.diag([0.0, 1.0]))
-
-
-def test_verify_schur_matches_eigenvalue_oracle():
-    rng = np.random.default_rng(22)
-    for _ in range(40):
-        k = int(rng.integers(1, 4))
-        b = rng.standard_normal((3, k))
-        psi = b @ b.T
-        pinv = np.linalg.pinv(psi)
-        t_star = pinv[0, 0]
-        e1 = np.eye(3)[:, 0]
-        wellposed = np.linalg.norm(psi @ pinv @ e1 - e1) < 1e-8
-        for t, expect in ((t_star * 1.5 + 0.1, wellposed), (t_star * 0.5 - 0.1, False)):
-            got = verify_schur_feasibility(t, psi)
-            phi = np.zeros((4, 4))
-            phi[:3, :3] = psi
-            phi[3, :3] = phi[:3, 3] = e1
-            phi[3, 3] = t
-            eig_ok = np.linalg.eigvalsh(phi)[0] >= -1e-8 * max(
-                1.0, np.abs(phi).max()
-            )
-            assert got == expect
-            if t >= 0:
-                assert got == eig_ok
-
-
 def test_triangular_inverse_matches_general_inverse():
     rng = np.random.default_rng(22)
     for n in (1, 7, 48, 49, 131):
@@ -208,7 +177,13 @@ def test_triangular_inverse_matches_general_inverse():
         assert np.allclose(inv @ low, np.eye(n), rtol=0, atol=1e-10)
 
 
-def non_finite_problems():
+def nan_objective_problem():
+    return SdpProblem(np.array([np.nan]), corner_problem().blocks)
+
+
+def test_non_finite_data_raises():
+    # a NaN or infinity must stop the solver, not run on into NaN iterates;
+    # in a block's data it is refused when the block is built
     f0 = np.array([[1.0, 1.0], [1.0, 0.0]])
     coeff = np.zeros((1, 2, 2))
     coeff[0, 1, 1] = 1.0
@@ -216,23 +191,15 @@ def non_finite_problems():
     bad_coeff[0, 1, 1] = np.nan
     bad_const = f0.copy()
     bad_const[0, 0] = np.inf
-    return [
-        SdpProblem(np.array([np.nan]), (PsdBlock(f0, [0], coeff),)),
-        SdpProblem(np.array([1.0]), (PsdBlock(f0, [0], bad_coeff),)),
-        SdpProblem(np.array([1.0]), (PsdBlock(bad_const, [0], coeff),)),
-        SdpProblem(np.array([1.0]), ineq_matrix=[[np.nan]], ineq_rhs=[1.0]),
-    ]
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_non_finite_data_raises():
-    # a NaN or infinity must stop the solver, not run on into NaN iterates
-    for prob in non_finite_problems():
+    for constant, coefficients in ((f0, bad_coeff), (bad_const, coeff)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            PsdBlock(constant, [0], coefficients)
+    nan_row = SdpProblem(np.array([1.0]), ineq_matrix=[[np.nan]], ineq_rhs=[1.0])
+    for prob in (nan_objective_problem(), nan_row):
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_sdp(prob)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
     functions = _blas_thread_functions()
     if functions is None:
@@ -253,7 +220,7 @@ def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
         assert get() == 2
         assert seen and set(seen) == {1}
         with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_sdp(non_finite_problems()[1])
+            solve_sdp(nan_objective_problem())
         assert get() == 2
     finally:
         put(caller)

@@ -95,8 +95,8 @@ def scale_free_tau(tau_tilde, group_costs) -> float:
 class MosapSpec:
     """A fully specified allocation problem.
 
-    ``extra_linear`` rows are (coefficients over groups, upper bound) pairs
-    a'n <= u, used e.g. to cap how often expensive models may be sampled.
+    ``caps`` holds one entry per model, a bound on the summed counts of the
+    groups containing that model or None; an empty tuple caps nothing.
     """
 
     mode: str  # 'budget' | 'tolerance' | 'pareto'
@@ -105,7 +105,7 @@ class MosapSpec:
     budget: float | None = None
     tolerances: np.ndarray | None = None  # per-output variance bounds
     tau: float | None = None
-    extra_linear: tuple = ()
+    caps: tuple = ()
 
     def __post_init__(self):
         if self.mode not in ("budget", "tolerance", "pareto"):
@@ -120,23 +120,22 @@ class MosapSpec:
             if system.num_groups != self.groups.num_groups:
                 raise ValueError("system group count does not match group set")
         if self.mode == "budget":
-            if self.budget is None or not self.budget > 0:
-                raise ValueError("budget mode needs a positive budget")
+            if self.budget is None or not 0 < self.budget < np.inf:
+                raise ValueError("budget mode needs a finite positive budget")
         if self.mode == "tolerance":
             tol = np.asarray(self.tolerances, dtype=float).reshape(-1)
-            if tol.size != len(systems) or np.any(tol <= 0):
-                raise ValueError("need one positive variance bound per output")
+            if tol.size != len(systems) or not np.all((tol > 0) & (tol < np.inf)):
+                raise ValueError("need one finite positive variance bound per output")
             object.__setattr__(self, "tolerances", tol)
         if self.mode == "pareto":
-            if self.tau is None or self.tau < 0:
-                raise ValueError("pareto mode needs tau >= 0")
-        extra = []
-        for coeffs, bound in self.extra_linear:
-            coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-            if coeffs.size != self.groups.num_groups:
-                raise ValueError("extra_linear row length must match group count")
-            extra.append((coeffs, float(bound)))
-        object.__setattr__(self, "extra_linear", tuple(extra))
+            if self.tau is None or not 0 <= self.tau < np.inf:
+                raise ValueError("pareto mode needs a finite tau >= 0")
+        caps = tuple(None if c is None else float(c) for c in self.caps)
+        if caps and len(caps) != self.groups.num_models:
+            raise ValueError("need one cap (or None) per model")
+        if any(c is not None and not 0 < c < np.inf for c in caps):
+            raise ValueError("caps must be finite and > 0")
+        object.__setattr__(self, "caps", caps)
 
     @property
     def num_outputs(self) -> int:
@@ -211,10 +210,11 @@ def _rows(spec: MosapSpec, slack: float = 0.0):
         cost_bound = _PARETO_COST_CAP * float(np.min(costs_n))
     else:
         cost_bound = np.inf
+    capped = [(i, cap) for i, cap in enumerate(spec.caps) if cap is not None]
     rows = [costs_n, *(np.where(s.anchor_mask, -1.0, 0.0) for s in spec.systems),
-            *(coeffs for coeffs, _ in spec.extra_linear)]
+            *(spec.groups.members[:, i].astype(float) for i, _ in capped)]
     bounds = np.array([cost_bound, *[-1.0] * spec.num_outputs,
-                       *(bound for _, bound in spec.extra_linear)])
+                       *(cap for _, cap in capped)])
     if slack:
         bounds = bounds + slack * np.abs(bounds)
     return np.array(rows), bounds
@@ -235,15 +235,15 @@ def _build(spec: MosapSpec):
     dim = num_groups + 1 if has_t else num_groups
 
     guess = _magnitude_guess(spec, costs_n)
-    # per-group variable scale: groups capped by a linear row live at the
-    # bound's magnitude, not the global guess, otherwise their solver
+    # per-group variable scale: the groups of a capped model live at the
+    # cap's magnitude, not the global guess, otherwise their solver
     # variables sit many decades below the rest and the primal residual
     # drowns in cancellation noise before feas_tol is reachable
     alloc_scale = np.full(num_groups, guess)
-    for coeffs_row, bound in spec.extra_linear:
-        pos = np.flatnonzero(coeffs_row > 0.0)
-        implied = np.maximum(bound / coeffs_row[pos], 1e-12 * guess)
-        alloc_scale[pos] = np.minimum(alloc_scale[pos], implied)
+    for i, cap in enumerate(spec.caps):
+        if cap is not None:
+            pos = groups.members[:, i]
+            alloc_scale[pos] = np.minimum(alloc_scale[pos], max(cap, 1e-12 * guess))
 
     # per-output congruence scalar: the size of the information matrix at a
     # uniform allocation of the guessed magnitude
@@ -324,6 +324,16 @@ def _objective(spec: MosapSpec, cost, worst_variance):
     return worst_variance + spec.tau * cost
 
 
+def _reported(spec: MosapSpec, n: np.ndarray, variances: np.ndarray) -> dict:
+    """The Allocation fields that ``n`` fixes, given its per-output
+    variances; the objective is inf when some variance is not finite."""
+    cost = float(spec.group_costs @ n)
+    worst = float(np.max(variances))
+    objective = _objective(spec, cost, worst) if np.isfinite(worst) else float("inf")
+    return {"n": n, "per_output_variance": variances, "total_cost": cost,
+            "objective_value": objective}
+
+
 def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocation:
     """Solve the allocation SDP and report everything in natural units.
 
@@ -341,20 +351,16 @@ def solve_mosap(spec: MosapSpec, settings: SdpSettings | None = None) -> Allocat
             if sol.status == "infeasible":
                 raise RuntimeError("allocation SDP is infeasible")
             n = _sanitize(spec, sol.x, alloc_scale)
-            total_cost = float(spec.group_costs @ n)
-            if not np.isfinite(total_cost):
+            if not np.isfinite(spec.group_costs @ n):
                 raise RuntimeError("allocation SDP failed: the allocation's cost overflows")
-            variances = _variances(spec, n)
+            reported = _reported(spec, n, _variances(spec, n))
         # a non-finite iterate, a LinAlgError, or an allocation the estimator cannot use
         except (ValueError, IllPosedError) as exc:
             raise RuntimeError(f"allocation SDP failed: {exc}") from exc
     return Allocation(
         mode=spec.mode,
-        n=n,
-        per_output_variance=variances,
-        total_cost=total_cost,
+        **reported,
         is_integer=False,
-        objective_value=_objective(spec, total_cost, float(np.max(variances))),
         solver_status=sol.status,
         solver_iterations=sol.iterations,
         solver_gap=sol.residuals.get("gap", float("nan")),
@@ -516,18 +522,8 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
         best = (None, cand, variances)
 
     _, n_int, variances = best
-    cost = float(spec.group_costs @ n_int)
-    worst = float(np.max(variances))
-    obj = _objective(spec, cost, worst) if np.isfinite(worst) else float("inf")
-    return replace(
-        allocation,
-        n=n_int,
-        per_output_variance=variances,
-        total_cost=cost,
-        is_integer=True,
-        objective_value=obj,
-        fallback=fallback,
-    )
+    return replace(allocation, **_reported(spec, n_int, variances),
+                   is_integer=True, fallback=fallback)
 
 
 def _ray_slack(spec: MosapSpec, n: np.ndarray, margin: float) -> bool:
@@ -573,21 +569,15 @@ def pareto_sweep(
     source = None  # (tau, allocation) the ray starts from
     for tau_tilde in sorted((float(t) for t in tau_tilde_values), reverse=True):
         tau = scale_free_tau(tau_tilde, spec.group_costs)
-        point = replace(spec, tau=tau)
         record = {"tau_tilde": tau_tilde, "tau": tau}
         try:
+            point = replace(spec, tau=tau)
             n = None
             if source is not None and tau > 0:
                 n = source[1].n * math.sqrt(source[0] / tau)
             if n is not None and _ray_slack(spec, n, margin):
-                variances = _variances(point, n)
-                cost = float(spec.group_costs @ n)
-                alloc = replace(
-                    source[1], n=n, per_output_variance=variances,
-                    total_cost=cost,
-                    objective_value=_objective(point, cost, float(np.max(variances))),
-                    solver_iterations=0,
-                )
+                alloc = replace(source[1], **_reported(point, n, _variances(point, n)),
+                                solver_iterations=0)
             else:
                 alloc = solve_mosap(point, settings)
                 if (tau > 0 and alloc.solver_status == "optimal"

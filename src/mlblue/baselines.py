@@ -49,7 +49,6 @@ class BaselineAllocation:
     """
 
     method: str
-    model_subset: tuple[int, ...]
     groups: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
     total_cost: float
@@ -146,15 +145,15 @@ def mfmc_variance(variances, correlations, counts) -> float:
 
 
 def mlmc_levels(subset, costs):
-    """Cost-descending model order and the level pair list.
+    """The level pair list of a model subset.
 
-    Levels pair consecutive models in the order, the last level is the
-    cheapest model alone. Cost ties are broken by model id.
+    Levels pair consecutive models in cost-descending order, the last level
+    is the cheapest model alone. Cost ties are broken by model id.
     """
     order = sorted(subset, key=lambda i: (-costs[i - 1], i))
     levels = [(order[k], order[k + 1]) for k in range(len(order) - 1)]
     levels.append((order[-1],))
-    return order, levels
+    return levels
 
 
 def _subset_outputs_ok(models: ModelSet, store: CovarianceStore, subset) -> bool:
@@ -211,14 +210,13 @@ def multi_output_baseline(
             groups, counts, cost, variances = result
             key = (cost, subset)
             if best is None or key < best[0]:
-                best = (key, subset, groups, counts, cost, variances)
+                best = (key, groups, counts, cost, variances)
 
     if best is None:
         raise ValueError(f"no admissible {method.upper()} configuration")
-    _, subset, groups, counts, cost, variances = best
+    _, groups, counts, cost, variances = best
     return BaselineAllocation(
         method=method,
-        model_subset=subset,
         groups=groups,
         counts=counts,
         total_cost=cost,
@@ -230,7 +228,7 @@ def _evaluate_subset(method, models, store, subset, eps2):
     costs = models.costs
     m = store.num_outputs
     if method == "mlmc":
-        _, levels = mlmc_levels(subset, costs)
+        levels = mlmc_levels(subset, costs)
         level_costs = np.array(
             [sum(costs[i - 1] for i in level) for level in levels]
         )

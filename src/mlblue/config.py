@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .allocate import systems_from_store
-from .covariance import CovarianceStore, PilotBatch, sample_covariance
+from .covariance import CovarianceStore, sample_covariance
 from .estimator import BlueSystem
 from .models import GroupSet, ModelSet, enumerate_groups
 from .synthetic import SyntheticSuite
@@ -254,8 +254,7 @@ def _parse_covariance(section, models, suite, seed):
             raise ConfigError(
                 "/covariance/count", f"{count} pilot samples do not fit in memory ({exc})"
             ) from None
-        batch = PilotBatch(draws.transpose(2, 0, 1), available=models.produces.T)
-        return sample_covariance(batch)
+        return sample_covariance(draws.transpose(2, 0, 1), models.produces.T)
     raise ConfigError("/covariance/type", "expected 'inline', 'pilot', or 'synthetic'")
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "CovarianceStore",
-    "PilotBatch",
     "sample_covariance",
     "spd_repair",
     "richardson_extrapolate",
@@ -72,10 +71,6 @@ class CovarianceStore:
     def num_outputs(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def num_models(self) -> int:
-        return self.matrices.shape[1]
-
     def matrix(self, output: int = 1) -> np.ndarray:
         return self.matrices[output - 1]
 
@@ -101,58 +96,43 @@ class CovarianceStore:
         return CovarianceStore(mats, known)
 
 
-@dataclass(frozen=True)
-class PilotBatch:
-    """Aligned pilot samples: per output, one column per model.
+def sample_covariance(samples, available=None) -> CovarianceStore:
+    """Unbiased sample covariance of aligned pilot samples.
 
-    Row j of every available column comes from the same random input, so
-    column covariances estimate the model covariances directly. Unavailable
-    models are masked out via ``available`` and their columns are ignored.
+    ``samples`` has shape (num_outputs, count, num_models), or (count,
+    num_models) for one output: row j of every column comes from the same
+    random input, so column covariances estimate the model covariances
+    directly. ``available`` (num_outputs, num_models) masks out the models
+    an output lacks, whose columns are ignored; entries are known only where
+    both models are available. Raises when an available column contains
+    non-finite values; the message names the offending model.
     """
-
-    samples: np.ndarray  # (num_outputs, count, num_models)
-    available: np.ndarray  # (num_outputs, num_models) bool
-
-    def __init__(self, samples, available=None):
-        samples = np.array(samples, dtype=float)
-        if samples.ndim == 2:
-            samples = samples[None]
-        if samples.ndim != 3:
-            raise ValueError("samples must be (outputs, count, models)")
-        m, count, n = samples.shape
-        if count < 2:
-            raise ValueError("at least 2 pilot samples are required")
-        if available is None:
-            available = np.ones((m, n), dtype=bool)
-        else:
-            available = np.array(available, dtype=bool)
-            if available.ndim == 1:
-                available = available[None]
-            if available.shape != (m, n):
-                raise ValueError("available mask shape mismatch")
-        object.__setattr__(self, "samples", _freeze(samples))
-        object.__setattr__(self, "available", _freeze(available))
-
-
-def sample_covariance(batch: PilotBatch) -> CovarianceStore:
-    """Unbiased sample covariance of a pilot batch.
-
-    Entries are known only where both models are available for the output.
-    Raises when an available column contains non-finite values; the message
-    names the offending model.
-    """
-    m, count, n = batch.samples.shape
+    samples = np.array(samples, dtype=float)
+    if samples.ndim == 2:
+        samples = samples[None]
+    if samples.ndim != 3:
+        raise ValueError("samples must be (outputs, count, models)")
+    m, count, n = samples.shape
+    if count < 2:
+        raise ValueError("at least 2 pilot samples are required")
+    if available is None:
+        available = np.ones((m, n), dtype=bool)
+    else:
+        available = np.array(available, dtype=bool)
+        if available.ndim == 1:
+            available = available[None]
+        if available.shape != (m, n):
+            raise ValueError("available mask shape mismatch")
     mats = np.zeros((m, n, n))
     known = np.zeros((m, n, n), dtype=bool)
     for s in range(m):
-        avail = batch.available[s]
-        cols = np.flatnonzero(avail)
+        cols = np.flatnonzero(available[s])
         for i in cols:
-            if not np.all(np.isfinite(batch.samples[s, :, i])):
+            if not np.all(np.isfinite(samples[s, :, i])):
                 raise ValueError(
                     f"model {i + 1} has non-finite pilot samples for output {s + 1}"
                 )
-        x = batch.samples[s][:, cols]
+        x = samples[s][:, cols]
         xc = x - x.mean(axis=0)
         c = xc.T @ xc / (count - 1)
         c = 0.5 * (c + c.T)

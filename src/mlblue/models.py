@@ -107,10 +107,6 @@ class GroupSet:
     def num_models(self) -> int:
         return self.members.shape[1]
 
-    def contains_highfi(self) -> np.ndarray:
-        """Boolean mask of groups containing model 1."""
-        return self.members[:, 0].copy()
-
 
 def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
     """Enumerate all sampling groups of size up to ``kappa``.
@@ -148,9 +144,8 @@ def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
         per_output_allowed=~(~models.produces.T @ members.T),
         members=members,
     )
-    hf = gs.contains_highfi()
     for s in range(1, models.num_outputs + 1):
-        if not np.any(gs.per_output_allowed[s - 1] & hf):
+        if not np.any(gs.per_output_allowed[s - 1] & members[:, 0]):
             raise ValueError(
                 f"no allowed group containing model 1 covers output {s}"
             )

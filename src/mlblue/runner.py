@@ -148,12 +148,8 @@ def spec_from_config(config: ProblemConfig,
                      tau_tilde: float | None = None) -> MosapSpec:
     """Build the allocation problem a config describes.
 
-    Per-model sample caps become linear rows summing the counts of every
-    group containing the model. For pareto mode the scale-free tau_tilde
-    becomes tau as in pareto_sweep.
+    For pareto mode the scale-free tau_tilde becomes tau as in pareto_sweep.
     """
-    extra = [(config.groups.members[:, i].astype(float), float(cap))
-             for i, cap in enumerate(config.model_caps) if cap is not None]
     tau = None
     if config.mode == "pareto":
         if tau_tilde is None:
@@ -168,7 +164,7 @@ def spec_from_config(config: ProblemConfig,
         budget=config.budget,
         tolerances=config.tolerances,
         tau=tau,
-        extra_linear=tuple(extra),
+        caps=config.model_caps,
     )
 
 

@@ -27,7 +27,6 @@ from mlblue.baselines import multi_output_baseline
 from mlblue.config import PILOT_STREAM_INDEX, parse_problem
 from mlblue.covariance import (
     CovarianceStore,
-    PilotBatch,
     estimate_decay_rate,
     reconstruct_highfi_covariance,
     richardson_extrapolate,
@@ -290,7 +289,7 @@ def test_criterion_04_pareto_asymptotics():
     ok = all(rec.get("status") == "optimal" for rec in records)
 
     # largest tau: one sample of the cheapest group containing model 1
-    contains = groups.contains_highfi()
+    contains = groups.members[:, 0]
     cheapest = np.flatnonzero(contains)[
         np.argmin(groups.group_costs[contains])]
     n_last = records[-1]["allocation"].n
@@ -418,7 +417,7 @@ def _c7_pilot_store(suite, replication):
     samples[0][:, [i - 1 for i in low]] = draws[:, :, 0]
     available = np.zeros((1, 7), dtype=bool)
     available[0, [i - 1 for i in low]] = True
-    return sample_covariance(PilotBatch(samples, available))
+    return sample_covariance(samples, available)
 
 
 def _c7_extrapolated_store(pilot_store, rate, d_bar):
@@ -479,14 +478,9 @@ def test_criterion_07_capped_sampling_with_extrapolation():
                 store = _c7_extrapolated_store(_c7_pilot_store(suite, r),
                                                rate, d_bar)
                 system = BlueSystem.from_covariance(groups, store)
-                cap_rows = tuple(
-                    (np.array([1.0 if i in g else 0.0 for g in groups.groups]),
-                     float(n_hf))
-                    for i in (1, 2)
-                )
                 spec = MosapSpec(mode="budget", groups=groups,
                                  systems=(system,), budget=budget,
-                                 extra_linear=cap_rows)
+                                 caps=(n_hf, n_hf) + (None,) * 5)
                 proj = integer_projection(
                     spec, tracked(spec, label=f"c7-n{n_hf}-d{d_bar}"))
                 for i in (1, 2):

@@ -176,7 +176,7 @@ def test_every_output_keeps_a_highfi_group():
     systems = systems_from_store(gs, CovarianceStore(cov))
     spec = MosapSpec(mode="budget", groups=gs, systems=systems, budget=25.0)
     alloc = integer_projection(spec, solve_mosap(spec))
-    hf = gs.contains_highfi()
+    hf = gs.members[:, 0]
     for s in (1, 2):
         usable = np.array(
             [k in systems[s - 1].group_indices for k in range(gs.num_groups)]
@@ -293,16 +293,15 @@ def projection_case(name):
         if name == "pareto":
             return MosapSpec(mode="pareto", groups=gs, systems=systems,
                              tau=variances.max() / cost), n
-        cap = gs.contains_highfi().astype(float)
+        cap = gs.members[:, 0] @ np.floor(n) + 1.0
         return MosapSpec(mode="budget", groups=gs, systems=systems,
-                         budget=1.1 * cost,
-                         extra_linear=((cap, cap @ np.floor(n) + 1.0),)), n
+                         budget=1.1 * cost, caps=(cap, None, None)), n
     if name == "no-anchor":
         rng = np.random.default_rng(42)
         spec, gs = single_output_spec([4.0, 1.0, 0.25], random_spd(rng, 3),
                                       "budget", budget=1e6)
         n = fractional_point(rng, gs, 3)
-        anchors = gs.contains_highfi()
+        anchors = gs.members[:, 0]
         n[anchors] = rng.uniform(0.1, 0.9, anchors.sum())
         return spec, n
     if name == "unidentifiable":
@@ -397,7 +396,7 @@ def test_projection_reports_greedy_rounding(monkeypatch, capsys):
 def test_projection_falls_back_to_the_ceiling(capsys):
     # the floor 2 breaks the tolerance (variance 2) and the ceiling 3 the cap
     spec, gs = single_output_spec([1.0], [[4.0]], "tolerance",
-                                  tolerances=[1.6], extra_linear=(([1.0], 2.5),))
+                                  tolerances=[1.6], caps=(2.5,))
     out = integer_projection(spec, fabricate(spec, [2.5]))
     assert out.n.tolist() == [3.0] and out.fallback
     assert out.per_output_variance.tolist() == [4.0 / 3.0]
@@ -470,13 +469,13 @@ def test_projection_respects_caps_exactly():
     models = all_output_modelset([5.0, 0.6, 0.05])
     gs = enumerate_groups(models)
     systems = systems_from_store(gs, CovarianceStore(cov[None]))
-    cap_row = gs.contains_highfi().astype(float)
+    cap_row = gs.members[:, 0].astype(float)
     spec = MosapSpec(
         mode="budget",
         groups=gs,
         systems=systems,
         budget=60.0,
-        extra_linear=((cap_row, 4.0),),
+        caps=(4.0, None, None),
     )
     cont = solve_mosap(spec)
     assert cap_row @ cont.n <= 4.0 * (1 + 1e-9)
@@ -511,7 +510,7 @@ def test_pareto_large_tau_single_cheapest_sample():
     )
     frontier = pareto_sweep(spec, [1e4])
     n = frontier[0]["allocation"].n
-    hf = np.flatnonzero(gs.contains_highfi())
+    hf = np.flatnonzero(gs.members[:, 0])
     cheapest = hf[np.argmin(gs.group_costs[hf])]
     assert n[cheapest] == pytest.approx(1.0, abs=1e-5)
     others = np.ones(gs.num_groups, dtype=bool)
@@ -520,14 +519,13 @@ def test_pareto_large_tau_single_cheapest_sample():
 
 
 def suite_pareto_spec(suite, costs, kappa=None, caps=()):
-    """A pareto spec over every group of the suite's models; ``caps`` holds
-    (model index, cap) pairs on the samples of each model."""
+    """A pareto spec over every group of the suite's models, with the
+    per-model ``caps`` (one entry per model, or none)."""
     gs = enumerate_groups(all_output_modelset(costs, suite.num_outputs),
                           kappa=kappa)
-    extra = tuple((gs.members[:, i].astype(float), cap) for i, cap in caps)
     return MosapSpec(mode="pareto", groups=gs,
                      systems=systems_from_store(gs, suite.exact_store()),
-                     tau=1.0, extra_linear=extra)
+                     tau=1.0, caps=caps)
 
 
 RAY_SWEEP = [10.0 ** i for i in range(-7, 5)]
@@ -542,7 +540,7 @@ RAY_CASES = {
     # model 3's cap binds at tau_tilde <= 1e-4 and is slack from 1e-3 on
     "capped": lambda: suite_pareto_spec(
         SyntheticSuite.hierarchy(4, 1, rate=2.0, strength=0.25),
-        4.0 ** np.arange(4, 0, -1), caps=((2, 200.0),)),
+        4.0 ** np.arange(4, 0, -1), caps=(None, None, 200.0, None)),
 }
 
 
@@ -582,7 +580,7 @@ def test_pareto_ray_points_match_per_point_solves(name):
         # the ray runs down from the first slack solve (tau_tilde 1) and
         # stops where the cap binds: those points are solved, cap-tight
         assert placed == [4, 5, 6] and min(sources) == 7
-        cap_row, cap = spec.extra_linear[0]
+        cap_row, cap = spec.groups.members[:, 2], spec.caps[2]
         for a in allocs[:4]:
             assert cap_row @ a.n == pytest.approx(cap, rel=1e-6)
         return
@@ -684,3 +682,35 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError, match="tau"):
         MosapSpec(mode="pareto", groups=gs, systems=systems, tau=-1.0)
+
+
+SPEC_REJECTIONS = {
+    "budget-inf": ({"mode": "budget", "budget": np.inf}, "finite positive budget"),
+    "budget-nan": ({"mode": "budget", "budget": np.nan}, "finite positive budget"),
+    "tolerances-missing": ({"mode": "tolerance", "tolerances": None},
+                           "finite positive variance bound"),
+    "tolerance-nan": ({"mode": "tolerance", "tolerances": [np.nan]},
+                      "finite positive variance bound"),
+    "tolerance-inf": ({"mode": "tolerance", "tolerances": [np.inf]},
+                      "finite positive variance bound"),
+    "tau-nan": ({"mode": "pareto", "tau": np.nan}, "finite tau"),
+    "tau-inf": ({"mode": "pareto", "tau": np.inf}, "finite tau"),
+    "caps-length": ({"mode": "budget", "budget": 1.0, "caps": (4.0,)}, "one cap"),
+    "cap-nan": ({"mode": "budget", "budget": 1.0, "caps": (np.nan, None)},
+                "finite and > 0"),
+    "cap-inf": ({"mode": "budget", "budget": 1.0, "caps": (None, np.inf)},
+                "finite and > 0"),
+    "cap-zero": ({"mode": "budget", "budget": 1.0, "caps": (0.0, None)},
+                 "finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("fields, message", SPEC_REJECTIONS.values(),
+                         ids=SPEC_REJECTIONS.keys())
+def test_spec_rejects_missing_or_non_finite_parameters(fields, message):
+    # unchecked, these fail only once the solver runs, with its own error
+    models = all_output_modelset([2.0, 1.0])
+    gs = enumerate_groups(models)
+    systems = systems_from_store(gs, CovarianceStore(np.eye(2)[None]))
+    with pytest.raises(ValueError, match=message):
+        MosapSpec(groups=gs, systems=systems, **fields)

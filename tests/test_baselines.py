@@ -69,12 +69,10 @@ def test_mlmc_variance_skips_zero_variance_levels():
 
 def test_mlmc_levels_order_and_pairs():
     costs = np.array([5.0, 1.0, 3.0])
-    order, levels = mlmc_levels((1, 2, 3), costs)
-    assert order == [1, 3, 2]
-    assert levels == [(1, 3), (3, 2), (2,)]
+    assert mlmc_levels((1, 2, 3), costs) == [(1, 3), (3, 2), (2,)]
     # cost tie broken by id
-    order, _ = mlmc_levels((1, 2, 3), np.array([2.0, 2.0, 2.0]))
-    assert order == [1, 2, 3]
+    assert mlmc_levels((1, 2, 3), np.array([2.0, 2.0, 2.0])) == [
+        (1, 2), (2, 3), (3,)]
 
 
 def test_mlmc_baseline_groups_are_the_level_pairs():
@@ -84,7 +82,7 @@ def test_mlmc_baseline_groups_are_the_level_pairs():
         store = CovarianceStore(random_spd(rng, 3)[None])
         alloc = multi_output_baseline("mlmc", ModelSet(costs), store,
                                       [0.01 * store.matrix(1)[0, 0]])
-        assert list(alloc.groups) == mlmc_levels(alloc.model_subset, costs)[1]
+        assert list(alloc.groups) == mlmc_levels(_subset(alloc), costs)
         assert len(alloc.counts) == len(alloc.groups)
         assert all(isinstance(c, int) and c >= 1 for c in alloc.counts)
         cost = sum(c * costs[np.asarray(g) - 1].sum()
@@ -202,6 +200,11 @@ def test_mfmc_predicted_variance_matches_simulation():
     assert est.var(ddof=1) == pytest.approx(predicted, rel=0.1)
 
 
+def _subset(alloc):
+    """The models a baseline allocation samples, ascending."""
+    return tuple(sorted({i for g in alloc.groups for i in g}))
+
+
 def _exhaustive_best(method, models, store, eps2):
     from mlblue.baselines import _evaluate_subset, _subset_outputs_ok
 
@@ -214,7 +217,7 @@ def _exhaustive_best(method, models, store, eps2):
             out = _evaluate_subset(method, models, store, subset, np.atleast_1d(eps2))
             if out is None:
                 continue
-            key = (out[1], subset)
+            key = (out[2], subset)
             if best is None or key < best[0]:
                 best = (key, subset)
     return best[1]
@@ -227,7 +230,7 @@ def test_multi_output_single_reduces_to_best_subset():
     store = CovarianceStore(cov[None])
     for method in ("mlmc", "mfmc"):
         alloc = multi_output_baseline(method, models, store, [0.01 * cov[0, 0]])
-        assert alloc.model_subset == _exhaustive_best(
+        assert _subset(alloc) == _exhaustive_best(
             method, models, store, 0.01 * cov[0, 0]
         )
         assert alloc.method == method
@@ -245,7 +248,7 @@ def test_multi_output_identical_outputs_match_single():
     for method in ("mlmc", "mfmc"):
         a = multi_output_baseline(method, models1, store1, [eps2])
         b = multi_output_baseline(method, models2, store2, [eps2, eps2])
-        assert a.model_subset == b.model_subset
+        assert _subset(a) == _subset(b)
         assert (a.groups, a.counts) == (b.groups, b.counts)
         assert a.total_cost == b.total_cost
 
@@ -258,7 +261,7 @@ def test_multi_output_excludes_partial_models():
     store = CovarianceStore(cov)
     eps2 = 0.05 * cov[:, 0, 0]
     alloc = multi_output_baseline("mlmc", models, store, eps2)
-    assert 3 not in alloc.model_subset
+    assert 3 not in _subset(alloc)
 
 
 def test_multi_output_no_admissible_configuration():

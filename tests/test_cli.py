@@ -386,6 +386,140 @@ def test_seed_flag_is_the_config_seed(tmp_path, capsys, command):
     assert flagged != run("--seed", "1")
 
 
+LOADINGS = [[1.0, 0.2], [0.9, 0.0]]
+
+# (id, top-level replacements, None to drop the key; subcommand; path; message)
+CONFIG_REJECTIONS = [
+    ("models-not-object", {"models": [2.0, 0.5]}, "allocate",
+     "/models", "expected an object, got list"),
+    ("budget-1e999", {"mode": {"type": "budget", "budget": float("inf")}},
+     "allocate", "/mode/budget", "must be finite"),
+    ("replications-fraction", {"replications": 2.5}, "allocate",
+     "/replications", "expected an integer"),
+    ("costs-empty", {"models": {"costs": []}}, "allocate",
+     "/models/costs", "expected a nonempty array of numbers"),
+    ("outputs-length", {"models": {"costs": [2.0, 0.5], "outputs": [[1]]}},
+     "allocate", "/models/outputs", "expected one entry per model (2)"),
+    ("outputs-entry-empty",
+     {"models": {"costs": [2.0, 0.5], "outputs": [[1], []]}}, "allocate",
+     "/models/outputs/1", "expected a nonempty array of output ids"),
+    ("output-id-string",
+     {"models": {"costs": [2.0, 0.5], "outputs": [[1], ["1"]]}}, "allocate",
+     "/models/outputs/1/0", "expected an integer output id"),
+    ("model-1-lacks-an-output",
+     {"models": {"costs": [2.0, 0.5], "outputs": [[1], [2]]}}, "allocate",
+     "/models", "model 1 must produce every output"),
+    ("synthetic-empty", {"synthetic": {}}, "allocate",
+     "/synthetic", "provide exactly one of 'loadings' or 'hierarchy'"),
+    ("hierarchy-ratio", {"synthetic": {"hierarchy": {"ratio": 1.0}}},
+     "allocate", "/synthetic/hierarchy",
+     "rate, strength, h0 must be > 0 and ratio > 1"),
+    ("loadings-ragged", {"synthetic": {"loadings": [[1.0, 0.2], [0.9]]}},
+     "allocate", "/synthetic/loadings", "expected a rectangular numeric array"),
+    ("means-ragged",
+     {"synthetic": {"loadings": LOADINGS, "means": [[0.0], [1.0, 2.0]]}},
+     "allocate", "/synthetic/means", "expected a rectangular numeric array"),
+    ("loadings-1d", {"synthetic": {"loadings": [1.0, 0.2]}}, "allocate",
+     "/synthetic", "loadings must have shape (outputs, models, factors)"),
+    ("suite-model-count", {"synthetic": {"loadings": [[1.0, 0.2]]}},
+     "allocate", "/synthetic", "suite has 1 models, /models has 2"),
+    ("suite-output-count", {"synthetic": {"loadings": [LOADINGS, LOADINGS]}},
+     "allocate", "/synthetic", "suite has 2 outputs, /models has 1"),
+    ("matrices-empty", {"covariance": {"type": "inline", "matrices": []}},
+     "allocate", "/covariance/matrices", "expected an array of matrices"),
+    ("matrices-count",
+     {"covariance": {"type": "inline", "matrices": [np.eye(2).tolist()] * 2}},
+     "allocate", "/covariance/matrices", "expected 1 matrices (one per output)"),
+    ("matrix-rows", {"covariance": {"type": "inline", "matrices": [[[1.0, 0.0]]]}},
+     "allocate", "/covariance/matrices/0", "expected 2 rows"),
+    ("matrix-entries",
+     {"covariance": {"type": "inline", "matrices": [[1.0, 0.0], [0.0]]}},
+     "allocate", "/covariance/matrices/0/1", "expected 2 entries"),
+    ("matrix-asymmetric",
+     {"covariance": {"type": "inline", "matrices": [[1.0, 0.5], [0.0, 1.0]]}},
+     "allocate", "/covariance/matrices", "covariance matrices must be symmetric"),
+    ("synthetic-covariance-without-suite", {"synthetic": None}, "allocate",
+     "/covariance", "covariance type 'synthetic' needs a /synthetic section"),
+    ("pilot-without-suite",
+     {"synthetic": None, "covariance": {"type": "pilot", "count": 10}},
+     "allocate", "/covariance",
+     "covariance type 'pilot' needs a /synthetic section"),
+    ("covariance-type", {"covariance": {"type": "exact"}}, "allocate",
+     "/covariance/type", "expected 'inline', 'pilot', or 'synthetic'"),
+    ("deny-entry-empty", {"groups": {"deny": [[]]}}, "allocate",
+     "/groups/deny/0", "expected a nonempty array of model ids"),
+    ("deny-duplicate", {"groups": {"deny": [[2, 2]]}}, "allocate",
+     "/groups/deny/0", "duplicate model ids"),
+    ("kappa-too-large", {"groups": {"kappa": 3}}, "allocate",
+     "/groups", "kappa must be in 1..2, got 3"),
+    ("eps2-count", {"mode": {"type": "tolerance", "eps2": [0.1, 0.2]}},
+     "allocate", "/mode/eps2", "expected 1 tolerances"),
+    ("tau-negative", {"mode": {"type": "pareto", "tau_tilde": -1.0}},
+     "allocate", "/mode/tau_tilde", "must be >= 0"),
+    ("argv-empty",
+     {"evaluator": {"type": "command", "argv": [], "input_dim": 2}},
+     "allocate", "/evaluator/argv", "expected a nonempty array of strings"),
+    ("evaluator-type", {"evaluator": {"type": "remote"}}, "allocate",
+     "/evaluator/type", "expected 'synthetic' or 'command'"),
+    ("estimate-sweep", {"mode": {"type": "pareto", "sweep": [1.0, 0.1]}},
+     "estimate", "/mode", "estimate needs budget, tolerance, or a fixed tau_tilde"),
+]
+
+
+@pytest.mark.parametrize("changes, command, where, message",
+                         [case[1:] for case in CONFIG_REJECTIONS],
+                         ids=[case[0] for case in CONFIG_REJECTIONS])
+def test_config_rejection_names_path_and_message(tmp_path, capsys, changes,
+                                                 command, where, message):
+    raw = json.loads(Path(budget_config(tmp_path)).read_text())
+    for key, value in changes.items():
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+    # json writes an infinity as Infinity; 1e999 is how a file overflows
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(raw).replace("Infinity", "1e999"))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {where}: {message}\n"
+
+
+def test_per_output_eps2_list_matches_the_scalar(tmp_path, capsys):
+    outputs = []
+    for eps2 in (0.1, [0.1]):
+        path = budget_config(tmp_path, mode={"type": "tolerance", "eps2": eps2})
+        assert main(["allocate", "--config", path]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_pareto_failed_point_is_listed_and_left_out_of_the_csv(
+        tmp_path, capsys, monkeypatch):
+    from mlblue import allocate, cli
+
+    failing = cli._DEFAULT_SWEEP[-1]
+    solve = allocate.solve_mosap
+
+    def fail_one(spec, settings=None):
+        if spec.tau == allocate.scale_free_tau(failing, spec.group_costs):
+            raise RuntimeError("planted failure")
+        return solve(spec, settings)
+
+    monkeypatch.setattr(allocate, "solve_mosap", fail_one)
+    path = budget_config(tmp_path, mode={"type": "pareto", "tau_tilde": 1.0})
+    json_dest, csv_dest = tmp_path / "front.json", tmp_path / "front.csv"
+    for dest in (json_dest, csv_dest):
+        assert main(["pareto", "--config", path, "--output", str(dest)]) == 0
+        assert capsys.readouterr().err == "11/12 sweep points solved\n"
+    points = json.loads(json_dest.read_text())
+    assert len(points) == 12
+    assert points[-1] == {"tau_tilde": failing, "status": "failed",
+                          "error": "planted failure"}
+    assert all(p["status"] == "optimal" for p in points[:-1])
+    rows = csv_dest.read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == list(cli._DEFAULT_SWEEP[:-1])
+
+
 @pytest.mark.parametrize("key", ["seed", "replications"])
 def test_integer_beyond_float_range_exits_2(tmp_path, capsys, key):
     path = budget_config(tmp_path, **{key: 10 ** 399})

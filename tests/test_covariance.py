@@ -3,7 +3,6 @@ import pytest
 
 from mlblue.covariance import (
     CovarianceStore,
-    PilotBatch,
     estimate_decay_rate,
     reconstruct_highfi_covariance,
     richardson_extrapolate,
@@ -13,20 +12,13 @@ from mlblue.covariance import (
 from mlblue.synthetic import SyntheticSuite
 
 
-def _pilot(samples):
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[None]
-    return PilotBatch(arr)
-
-
 def test_two_point_sample_variance():
-    store = sample_covariance(_pilot([[1.0], [3.0]]))
+    store = sample_covariance([[1.0], [3.0]])
     assert store.matrix(1)[0, 0] == pytest.approx(2.0)
 
 
 def test_constant_column_flagged_degenerate():
-    store = sample_covariance(_pilot([[5.0], [5.0], [5.0]]))
+    store = sample_covariance([[5.0], [5.0], [5.0]])
     assert store.matrix(1)[0, 0] == 0.0
     assert store.known[0, 0, 0]  # known, but with zero variance
 
@@ -45,7 +37,7 @@ def test_sample_covariance_converges_at_root_n():
         for r in range(8):
             z = suite.factor_draws(n, dim, seed=5, stream_index=1, replication=r)
             vals = suite.evaluate([1, 2, 3], z)[:, :, 0]
-            est = sample_covariance(_pilot(vals)).matrix(1)
+            est = sample_covariance(vals).matrix(1)
             tot += np.abs(est - exact).max()
         errs.append(tot / 8)
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
@@ -56,8 +48,8 @@ def test_sample_covariance_row_permutation_equivariant():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((40, 3))
     perm = rng.permutation(40)
-    a = sample_covariance(_pilot(vals)).matrix(1)
-    b = sample_covariance(_pilot(vals[perm])).matrix(1)
+    a = sample_covariance(vals).matrix(1)
+    b = sample_covariance(vals[perm]).matrix(1)
     assert np.array_equal(a, a.T)
     assert np.allclose(a, b, rtol=0, atol=1e-14)
 
@@ -67,7 +59,7 @@ def test_sample_covariance_respects_availability():
     vals[0] = np.random.default_rng(1).standard_normal((5, 3))
     vals[1, :, :2] = np.random.default_rng(2).standard_normal((5, 2))
     avail = np.array([[True, True, True], [True, True, False]])
-    store = sample_covariance(PilotBatch(vals, available=avail))
+    store = sample_covariance(vals, avail)
     assert store.known[0].all()
     assert store.known[1][:2, :2].all()
     assert not store.known[1][2].any()
@@ -75,11 +67,15 @@ def test_sample_covariance_respects_availability():
 
 def test_sample_covariance_rejects_bad_input():
     with pytest.raises(ValueError, match="at least 2"):
-        sample_covariance(_pilot([[1.0, 2.0]]))
+        sample_covariance([[1.0, 2.0]])
     bad = np.ones((3, 2))
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="model 1 .* output 1"):
-        sample_covariance(_pilot(bad))
+        sample_covariance(bad)
+    with pytest.raises(ValueError, match="outputs, count, models"):
+        sample_covariance([1.0, 2.0])
+    with pytest.raises(ValueError, match="available mask shape mismatch"):
+        sample_covariance(np.ones((3, 2)), [True, True, True])
 
 
 def test_spd_repair_leaves_identity_alone():

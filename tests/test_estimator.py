@@ -271,7 +271,7 @@ def test_system_skips_unknown_groups():
     assert (1, 2) in usable and (2, 3) in usable
     rows = np.array([[True, True, False], [True, False, True]])
     assert store.known_groups(rows).tolist() == [True, False]
-    expect = gs.per_output_allowed[0] & gs.contains_highfi()
+    expect = gs.per_output_allowed[0] & gs.members[:, 0]
     expect[gs.groups.index((1, 3))] = False
     assert np.array_equal(system.anchor_mask, expect)
 

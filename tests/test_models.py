@@ -100,7 +100,7 @@ def test_budget_feasibility_per_output():
         [2.0, 1.0, 5.0], outputs=[[1, 2], [1], [1, 2]], num_outputs=2
     )
     gs = enumerate_groups(models, kappa=2, deny_list=[(1,)])
-    hf = gs.contains_highfi()
+    hf = gs.members[:, 0]
     cheapest = {
         s: float(np.min(gs.group_costs[gs.per_output_allowed[s - 1] & hf]))
         for s in (1, 2)
@@ -110,12 +110,12 @@ def test_budget_feasibility_per_output():
     assert [gs.groups[k] for k in np.flatnonzero(anchors)] == [(1, 3)]
 
 
-def test_contains_highfi_and_mask():
+def test_highfi_column_and_mask():
     models = all_output_modelset([4.0, 2.0, 1.0], num_outputs=1)
     gs = enumerate_groups(models, kappa=2)
     expect = np.array([1 in g for g in gs.groups])
-    assert np.array_equal(gs.contains_highfi(), expect)
-    assert np.array_equal(gs.per_output_allowed[0] & gs.contains_highfi(), expect)
+    assert np.array_equal(gs.members[:, 0], expect)
+    assert np.array_equal(gs.per_output_allowed[0] & gs.members[:, 0], expect)
 
 
 def test_members_matrix_matches_groups_and_is_read_only():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mlblue.allocate import integer_projection, solve_mosap
+from mlblue.allocate import _rows, integer_projection, solve_mosap
 from mlblue.baselines import BaselineAllocation, multi_output_baseline
 from mlblue.config import ConfigError, parse_problem
 from mlblue.covariance import CovarianceStore
@@ -40,6 +40,18 @@ def two_model_config(loadings=None, mode=None, **extra):
 def integer_allocation(cfg):
     spec = spec_from_config(cfg)
     return spec, integer_projection(spec, solve_mosap(spec))
+
+
+@pytest.mark.parametrize("n, message", [
+    ([1.0, 2.0], "allocation must have length 3"),
+    # the length is checked before the 64-bit check looks the group up
+    ([0.0, 0.0, 0.0, 1e19], "allocation must have length 3"),
+    ([1.0, 2.5, 0.0], "nonnegative integer allocation"),
+    ([1.0, -1.0, 0.0], "nonnegative integer allocation"),
+])
+def test_run_estimate_rejects_bad_allocations(n, message):
+    with pytest.raises(ValueError, match=message):
+        run_estimate(two_model_config(), n, replications=2)
 
 
 def test_zero_variance_suite_recovers_offset_exactly():
@@ -158,11 +170,11 @@ def test_normalized_error_is_worst_output():
 def test_spec_from_config_builds_cap_rows():
     cfg = two_model_config(constraints={"model_caps": [4, None]})
     spec = spec_from_config(cfg)
-    assert len(spec.extra_linear) == 1
-    coeffs, bound = spec.extra_linear[0]
-    assert bound == 4.0
+    assert spec.caps == (4.0, None)
+    rows, bounds = _rows(spec)
+    assert bounds[-1] == 4.0
     expect = [1.0 if 1 in g else 0.0 for g in cfg.groups.groups]
-    assert np.array_equal(coeffs, expect)
+    assert np.array_equal(rows[-1], expect)
 
 
 def test_spec_from_config_pareto_scaling():
@@ -188,7 +200,6 @@ def test_allocation_json_roundtrip():
 def test_baseline_json_mlmc_levels_are_groups():
     base = BaselineAllocation(
         method="mlmc",
-        model_subset=(1, 2, 3),
         groups=((1, 2), (2, 3), (3,)),
         counts=(4, 9, 25),
         total_cost=17.0,

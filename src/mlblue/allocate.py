@@ -34,9 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covariance import CovarianceStore
 from .estimator import (
-    BlueSystem,
     IllPosedError,
     _batch_variance,
     _weighted_sum,
@@ -49,7 +47,6 @@ from .sdp import PsdBlock, SdpProblem, SdpSettings, solve_sdp
 __all__ = [
     "MosapSpec",
     "Allocation",
-    "systems_from_store",
     "solve_mosap",
     "integer_projection",
     "pareto_sweep",
@@ -73,22 +70,18 @@ _PROJECTION_CHUNK = 250
 _BATCH_REL = 1e-12
 
 
-def systems_from_store(groups: GroupSet, store: CovarianceStore):
-    """One BlueSystem per output, honoring the store's known-entry masks."""
-    return [
-        BlueSystem.from_covariance(groups, store, output=s)
-        for s in range(1, store.num_outputs + 1)
-    ]
-
-
 def scale_free_tau(tau_tilde, group_costs) -> float:
     """tau = tau_tilde / ||c||₂, with c in units of 2^(e-1) for max c = m 2^e.
 
     That unit divides exactly: the bits are tau_tilde / ||c||'s wherever that
     norm neither over- nor underflows, and tau is scale-free at every scale.
+    A tau beyond the float range is the solver's failure: RuntimeError.
     """
     top = float(np.ldexp(1.0, np.frexp(np.max(group_costs))[1] - 1))
-    return float(tau_tilde) / float(np.linalg.norm(group_costs / top)) / top
+    tau = float(tau_tilde) / float(np.linalg.norm(group_costs / top)) / top
+    if not np.isfinite(tau):
+        raise RuntimeError(f"tau = tau_tilde / ||c|| overflows at tau_tilde {tau_tilde:g}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -497,11 +490,10 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
             ok, variances = _integer_feasible(spec, cand)
             if not ok:
                 continue
-            cost = float(spec.group_costs @ cand)
-            obj = _objective(spec, cost, float(np.max(variances)))
-            key = (obj, cost, tuple(cand))
+            reported = _reported(spec, cand, variances)
+            key = (reported["objective_value"], reported["total_cost"], tuple(cand))
             if best is None or key < best[0]:
-                best = (key, cand, variances)
+                best = (key, reported)
 
     fallback = best is None
     if fallback:
@@ -519,11 +511,9 @@ def integer_projection(spec: MosapSpec, allocation: Allocation) -> Allocation:
             variances = _variances(spec, cand)
         except IllPosedError:
             variances = np.full(spec.num_outputs, np.inf)
-        best = (None, cand, variances)
+        best = (None, _reported(spec, cand, variances))
 
-    _, n_int, variances = best
-    return replace(allocation, **_reported(spec, n_int, variances),
-                   is_integer=True, fallback=fallback)
+    return replace(allocation, **best[1], is_integer=True, fallback=fallback)
 
 
 def _ray_slack(spec: MosapSpec, n: np.ndarray, margin: float) -> bool:
@@ -568,9 +558,9 @@ def pareto_sweep(
     margin = _RAY_SLACK * (settings or SdpSettings()).gap_tol
     source = None  # (tau, allocation) the ray starts from
     for tau_tilde in sorted((float(t) for t in tau_tilde_values), reverse=True):
-        tau = scale_free_tau(tau_tilde, spec.group_costs)
-        record = {"tau_tilde": tau_tilde, "tau": tau}
+        record = {"tau_tilde": tau_tilde}
         try:
+            tau = record["tau"] = scale_free_tau(tau_tilde, spec.group_costs)
             point = replace(spec, tau=tau)
             n = None
             if source is not None and tau > 0:

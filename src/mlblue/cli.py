@@ -83,9 +83,9 @@ def _cmd_pareto(args):
     cfg = _load(args)
     if cfg.mode != "pareto":
         raise ConfigError("/mode", "pareto subcommand needs a pareto-mode config")
-    sweep = cfg.sweep or _DEFAULT_SWEEP
-    spec = spec_from_config(cfg, tau_tilde=sweep[0])
-    records = pareto_sweep(spec, sweep, _settings(args))
+    # pareto_sweep sets each point's tau; the spec's own is never read
+    spec = spec_from_config(cfg, tau_tilde=0.0)
+    records = pareto_sweep(spec, cfg.sweep or _DEFAULT_SWEEP, _settings(args))
     solved = [r for r in records if r["status"] == "optimal"]
     if not solved:
         raise RuntimeError("no sweep point solved to optimality")

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocate import systems_from_store
 from .covariance import CovarianceStore, sample_covariance
 from .estimator import BlueSystem
 from .models import GroupSet, ModelSet, enumerate_groups
@@ -68,17 +67,14 @@ class ProblemConfig:
     replications: int
 
     @property
-    def num_models(self) -> int:
-        return self.models.num_models
-
-    @property
     def num_outputs(self) -> int:
         return self.models.num_outputs
 
     @cached_property
     def systems(self) -> tuple[BlueSystem, ...]:
         """One BlueSystem per output, built on first use and then shared."""
-        return tuple(systems_from_store(self.groups, self.store))
+        return tuple(BlueSystem.from_covariance(self.groups, self.store, output=s)
+                     for s in range(1, self.store.num_outputs + 1))
 
 
 def _require_keys(obj, path, required, optional=()):

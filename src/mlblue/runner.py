@@ -135,8 +135,10 @@ class _CommandEvaluator:
             out[r] = samples.sum(axis=0)
 
     def close(self):
-        if self.proc.stdin:
+        try:
             self.proc.stdin.close()
+        except BrokenPipeError:  # the evaluator closed its input first
+            pass
         try:
             self.proc.wait(timeout=_EVALUATOR_EXIT_GRACE)
         except subprocess.TimeoutExpired:
@@ -251,10 +253,6 @@ def run_estimate(config: ProblemConfig, allocation,
     )
 
 
-def _gap_or_none(value):
-    return None if not np.isfinite(value) else float(value)
-
-
 def allocation_to_json(alloc: Allocation, groups: GroupSet) -> dict:
     """The allocation wire format; only sampled groups are listed."""
     sel = np.flatnonzero(alloc.n > 0)
@@ -267,7 +265,7 @@ def allocation_to_json(alloc: Allocation, groups: GroupSet) -> dict:
         "per_output_variance": [float(v) for v in alloc.per_output_variance],
         "solver": {
             "iterations": int(alloc.solver_iterations),
-            "gap": _gap_or_none(alloc.solver_gap),
+            "gap": float(alloc.solver_gap) if np.isfinite(alloc.solver_gap) else None,
         },
     }
 

@@ -124,8 +124,8 @@ class SyntheticSuite:
         if count < 0:
             raise ValueError("count must be >= 0")
         group = tuple(sorted(group))
-        z = self.factor_draws(count, self.num_factors, seed, group_index,
-                              replication)
+        z = next(self.factor_blocks(count, self.num_factors, seed, group_index,
+                                    (replication,)))
         return self.evaluate(group, z)
 
     def draw_sums(self, group, count: int, seed: int, group_index: int,
@@ -172,12 +172,6 @@ class SyntheticSuite:
             mapped = np.matmul(sums[:, None, :], loads)[:, 0]
             out[start:start + len(chunk)] = (
                 mapped.reshape(-1, *offset.shape) + offset)
-
-    @staticmethod
-    def factor_draws(count, dim, seed, stream_index, replication=0):
-        """Standard normal draws of one replication's block of a keyed stream."""
-        return next(SyntheticSuite.factor_blocks(count, dim, seed, stream_index,
-                                                 (replication,)))
 
     @staticmethod
     def factor_blocks(count, dim, seed, stream_index, replications, out=None):

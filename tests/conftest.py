@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 
 
 def random_spd(rng, n, max_corr=0.99, cost_like=False):
@@ -23,3 +26,13 @@ def all_output_modelset(costs, num_outputs=1):
 
     outs = [list(range(1, num_outputs + 1))] * len(costs)
     return ModelSet(costs, outputs=outs, num_outputs=num_outputs)
+
+
+def assert_outcome(call, outcome):
+    """``call()`` raises ``outcome``'s type with its message when ``outcome``
+    is an exception, and returns ``outcome`` otherwise."""
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=re.escape(str(outcome))):
+            call()
+    else:
+        assert call() == outcome

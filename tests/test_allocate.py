@@ -15,22 +15,21 @@ from mlblue.allocate import (
     integer_projection,
     pareto_sweep,
     solve_mosap,
-    systems_from_store,
 )
 from mlblue.covariance import CovarianceStore
-from mlblue.estimator import assemble_psi, blue_variance
+from mlblue.estimator import BlueSystem, assemble_psi, blue_variance
 from mlblue.models import ModelSet, enumerate_groups
 from mlblue.sdp import SdpSettings
 from mlblue.synthetic import SyntheticSuite
 
-from conftest import all_output_modelset, random_spd
+from conftest import all_output_modelset, assert_outcome, random_spd
 
 
 def single_output_spec(costs, cov, mode, kappa=None, **kw):
     models = all_output_modelset(costs)
     gs = enumerate_groups(models, kappa=kappa)
     store = CovarianceStore(np.asarray(cov, dtype=float)[None])
-    systems = systems_from_store(gs, store)
+    systems = [BlueSystem.from_covariance(gs, store)]
     return MosapSpec(mode=mode, groups=gs, systems=systems, **kw), gs
 
 
@@ -113,7 +112,7 @@ def test_multi_output_structural_zero():
     )
     gs = enumerate_groups(models)
     store = CovarianceStore(cov)
-    systems = systems_from_store(gs, store)
+    systems = [BlueSystem.from_covariance(gs, store, output=s) for s in (1, 2)]
     spec = MosapSpec(mode="budget", groups=gs, systems=systems, budget=40.0)
     alloc = solve_mosap(spec)
     assert alloc.solver_status == "optimal"
@@ -133,7 +132,7 @@ def test_unusable_groups_get_no_samples():
     models = all_output_modelset([4.0, 1.0, 0.2])
     gs = enumerate_groups(models)
     store = CovarianceStore(masked[None], known=known[None])
-    systems = systems_from_store(gs, store)
+    systems = [BlueSystem.from_covariance(gs, store)]
     spec = MosapSpec(mode="budget", groups=gs, systems=systems, budget=40.0)
     alloc = solve_mosap(spec)
     for bad in ((2, 3), (1, 2, 3)):
@@ -160,7 +159,8 @@ def test_infeasible_budget_rejected():
         [2.0, 1.0, 5.0], outputs=[[1, 2], [1], [1, 2]], num_outputs=2
     )
     gs = enumerate_groups(models, kappa=2, deny_list=[(1,)])
-    systems = systems_from_store(gs, CovarianceStore(np.stack([np.eye(3)] * 2)))
+    store = CovarianceStore(np.stack([np.eye(3)] * 2))
+    systems = [BlueSystem.from_covariance(gs, store, output=s) for s in (1, 2)]
     per_output = MosapSpec(mode="budget", groups=gs, systems=systems, budget=3.0)
     for spec, where in ((single, "output 1 .cheapest costs 10"),
                         (per_output, "output 2 .cheapest costs 7")):
@@ -173,7 +173,8 @@ def test_every_output_keeps_a_highfi_group():
     cov = np.stack([random_spd(rng, 3), random_spd(rng, 3)])
     models = all_output_modelset([4.0, 1.0, 0.2], num_outputs=2)
     gs = enumerate_groups(models)
-    systems = systems_from_store(gs, CovarianceStore(cov))
+    store = CovarianceStore(cov)
+    systems = [BlueSystem.from_covariance(gs, store, output=s) for s in (1, 2)]
     spec = MosapSpec(mode="budget", groups=gs, systems=systems, budget=25.0)
     alloc = integer_projection(spec, solve_mosap(spec))
     hf = gs.members[:, 0]
@@ -267,7 +268,8 @@ def two_output_problem(seed):
     rng = np.random.default_rng(seed)
     cov = np.stack([random_spd(rng, 3), random_spd(rng, 3)])
     gs = enumerate_groups(all_output_modelset([4.0, 1.0, 0.25], num_outputs=2))
-    return rng, gs, systems_from_store(gs, CovarianceStore(cov))
+    store = CovarianceStore(cov)
+    return rng, gs, [BlueSystem.from_covariance(gs, store, output=s) for s in (1, 2)]
 
 
 def projection_case(name):
@@ -367,7 +369,8 @@ def test_projection_scratch_memory_is_bounded():
     costs = 4.0 ** np.arange(6, -1, -1)
     gs = enumerate_groups(all_output_modelset(costs, num_outputs=3), kappa=3)
     store = SyntheticSuite.random(7, 3, seed=16).exact_store()
-    spec = MosapSpec(mode="budget", groups=gs, systems=systems_from_store(gs, store),
+    systems = [BlueSystem.from_covariance(gs, store, output=s) for s in (1, 2, 3)]
+    spec = MosapSpec(mode="budget", groups=gs, systems=systems,
                      budget=100.0 * costs.sum())
     cont = solve_mosap(spec)
     assert np.count_nonzero(np.abs(cont.n - np.rint(cont.n)) > 1e-6) == 13
@@ -448,14 +451,14 @@ def test_projection_is_invariant_to_the_cost_unit():
     store = SyntheticSuite.hierarchy(3, 1, rate=2.0, strength=0.05).exact_store()
     gs = enumerate_groups(all_output_modelset(costs), kappa=3)
     spec = MosapSpec(mode="budget", groups=gs,
-                     systems=systems_from_store(gs, store), budget=100.0)
+                     systems=[BlueSystem.from_covariance(gs, store)], budget=100.0)
     cont = solve_mosap(spec)
     projected = []
     for j in (-1000, -500, -3, 0, 3, 500):
         unit = 2.0 ** j
         gs = enumerate_groups(all_output_modelset(costs * unit), kappa=3)
         scaled = MosapSpec(mode="budget", groups=gs,
-                           systems=systems_from_store(gs, store),
+                           systems=[BlueSystem.from_covariance(gs, store)],
                            budget=100.0 * unit)
         out = integer_projection(scaled, cont)
         assert out.total_cost <= scaled.budget
@@ -468,7 +471,7 @@ def test_projection_respects_caps_exactly():
     cov = random_spd(rng, 3)
     models = all_output_modelset([5.0, 0.6, 0.05])
     gs = enumerate_groups(models)
-    systems = systems_from_store(gs, CovarianceStore(cov[None]))
+    systems = [BlueSystem.from_covariance(gs, CovarianceStore(cov[None]))]
     cap_row = gs.members[:, 0].astype(float)
     spec = MosapSpec(
         mode="budget",
@@ -523,9 +526,10 @@ def suite_pareto_spec(suite, costs, kappa=None, caps=()):
     per-model ``caps`` (one entry per model, or none)."""
     gs = enumerate_groups(all_output_modelset(costs, suite.num_outputs),
                           kappa=kappa)
-    return MosapSpec(mode="pareto", groups=gs,
-                     systems=systems_from_store(gs, suite.exact_store()),
-                     tau=1.0, caps=caps)
+    store = suite.exact_store()
+    systems = [BlueSystem.from_covariance(gs, store, output=s)
+               for s in range(1, suite.num_outputs + 1)]
+    return MosapSpec(mode="pareto", groups=gs, systems=systems, tau=1.0, caps=caps)
 
 
 RAY_SWEEP = [10.0 ** i for i in range(-7, 5)]
@@ -671,7 +675,7 @@ def test_deterministic_resolve():
 def test_spec_validation():
     models = all_output_modelset([2.0, 1.0])
     gs = enumerate_groups(models)
-    systems = systems_from_store(gs, CovarianceStore(np.eye(2)[None]))
+    systems = [BlueSystem.from_covariance(gs, CovarianceStore(np.eye(2)[None]))]
     with pytest.raises(ValueError, match="mode"):
         MosapSpec(mode="cheapest", groups=gs, systems=systems)
     with pytest.raises(ValueError, match="budget"):
@@ -711,6 +715,43 @@ def test_spec_rejects_missing_or_non_finite_parameters(fields, message):
     # unchecked, these fail only once the solver runs, with its own error
     models = all_output_modelset([2.0, 1.0])
     gs = enumerate_groups(models)
-    systems = systems_from_store(gs, CovarianceStore(np.eye(2)[None]))
+    systems = [BlueSystem.from_covariance(gs, CovarianceStore(np.eye(2)[None]))]
     with pytest.raises(ValueError, match=message):
         MosapSpec(groups=gs, systems=systems, **fields)
+
+
+def identity_systems(kappa=None):
+    """A group set on two models and two outputs, and its systems."""
+    gs = enumerate_groups(all_output_modelset([2.0, 1.0], num_outputs=2), kappa=kappa)
+    store = CovarianceStore(np.stack([np.eye(2)] * 2))
+    return gs, [BlueSystem.from_covariance(gs, store, output=s) for s in (1, 2)]
+
+
+def budget_spec(systems):
+    """A budget spec over all groups of ``identity_systems`` with ``systems``."""
+    return MosapSpec(mode="budget", groups=identity_systems()[0], systems=systems,
+                     budget=10.0)
+
+
+def overflowing_cost_solve():
+    # one model at cost 1e300 needs 1e10 samples for variance 1e-10
+    spec, _ = single_output_spec([1e300], [[1.0]], "tolerance", tolerances=[1e-10])
+    return solve_mosap(spec)
+
+
+ALLOCATE_REJECTIONS = {
+    "no-systems": (lambda: budget_spec(()),
+                   ValueError("at least one output system is required")),
+    "systems-order": (lambda: budget_spec(identity_systems()[1][::-1]),
+                      ValueError("systems must be ordered by output id")),
+    "systems-groups": (lambda: budget_spec(identity_systems(kappa=1)[1]),
+                       ValueError("system group count does not match group set")),
+    "cost-overflow": (overflowing_cost_solve, RuntimeError(
+        "allocation SDP failed: the allocation's cost overflows")),
+}
+
+
+@pytest.mark.parametrize("call, error", ALLOCATE_REJECTIONS.values(),
+                         ids=ALLOCATE_REJECTIONS.keys())
+def test_allocation_rejects_malformed_specs_and_overflows(call, error):
+    assert_outcome(call, error)

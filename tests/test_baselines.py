@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mlblue.baselines import (
+    _MAX_EXHAUSTIVE_MODELS,
+    _evaluate_subset,
     _suffix_groups,
     mfmc_allocation,
     mfmc_variance,
@@ -15,7 +17,7 @@ from mlblue.baselines import (
 from mlblue.covariance import CovarianceStore
 from mlblue.models import ModelSet
 
-from conftest import all_output_modelset, random_spd
+from conftest import all_output_modelset, assert_outcome, random_spd
 
 
 def test_mlmc_single_level_is_plain_mc():
@@ -282,3 +284,49 @@ def test_unknown_method_rejected():
     store = CovarianceStore(np.eye(1)[None])
     with pytest.raises(ValueError, match="unknown baseline"):
         multi_output_baseline("mc", models, store, [0.1])
+
+
+def two_model_subset(method, cov):
+    """The baseline of subset (1, 2) on one output with covariance ``cov``."""
+    store = CovarianceStore(np.asarray(cov, dtype=float)[None])
+    return _evaluate_subset(method, ModelSet([2.0, 1.0]), store, (1, 2), np.ones(1))
+
+
+TOO_MANY = _MAX_EXHAUSTIVE_MODELS + 1
+BASELINE_OUTCOMES = {
+    "mlmc-shapes": (lambda: mlmc_allocation([1.0, 2.0], [1.0], 1.0),
+                    ValueError("need matching 1-d level variances and costs")),
+    "mlmc-negative-variance": (lambda: mlmc_allocation([-1.0], [1.0], 1.0),
+                               ValueError("variances must be >= 0, costs and eps2 > 0")),
+    "mfmc-shapes": (lambda: mfmc_allocation([1.0, 1.0], [1.0], [1.0, 1.0], 1.0),
+                    ValueError("need matching 1-d variances, correlations, costs")),
+    "mfmc-correlation-range": (
+        lambda: mfmc_allocation([1.0, 1.0], [1.0, 1.5], [1.0, 0.1], 1.0),
+        ValueError("correlations must lie in [-1, 1]")),
+    # two models with the same correlation leave no drop between them
+    "mfmc-tied-correlations": (
+        lambda: mfmc_allocation([1.0] * 3, [1.0, 0.9, 0.9], [1.0, 0.1, 0.01], 1.0),
+        None),
+    "mfmc-zero-count": (lambda: mfmc_variance([1.0], [1.0], [0.0]), float("inf")),
+    "too-many-models": (
+        lambda: multi_output_baseline("mlmc", ModelSet([1.0] * TOO_MANY),
+                                      CovarianceStore(np.eye(TOO_MANY)), [1.0]),
+        ValueError(f"exhaustive subset search is limited to "
+                   f"{_MAX_EXHAUSTIVE_MODELS} models")),
+    "eps2-count": (
+        lambda: multi_output_baseline("mlmc", ModelSet([2.0, 1.0]),
+                                      CovarianceStore(np.eye(2)), [1.0, 1.0]),
+        ValueError("need one positive variance target per output")),
+    # a covariance that is not PSD: the level (1, 2) has variance -2
+    "mlmc-negative-level-variance": (
+        lambda: two_model_subset("mlmc", [[1.0, 2.0], [2.0, 1.0]]), None),
+    # model 2's correlation with model 1 exceeds 1, so it sorts first
+    "mfmc-model-1-not-first": (
+        lambda: two_model_subset("mfmc", [[1.0, 1.5], [1.5, 2.0]]), None),
+}
+
+
+@pytest.mark.parametrize("call, outcome", BASELINE_OUTCOMES.values(),
+                         ids=BASELINE_OUTCOMES.keys())
+def test_baseline_edge_inputs(call, outcome):
+    assert_outcome(call, outcome)

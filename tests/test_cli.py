@@ -183,6 +183,42 @@ def test_pareto_allocation_is_scale_free(tmp_path, capsys):
     assert counts[1:] == counts[:1] * (len(scales) - 1)
 
 
+def tiny_cost_pareto_config(tmp_path, mode):
+    # at these costs tau = tau_tilde / ||c|| overflows for tau_tilde 1e10
+    return write_config(tmp_path, {
+        "models": {"costs": [1e-300, 8e-301, 1e-301]},
+        "synthetic": {"hierarchy": {"rate": 2.0, "strength": 0.05}},
+        "covariance": {"type": "synthetic"},
+        "groups": {"kappa": 3},
+        "mode": mode,
+        "seed": 7,
+    })
+
+
+def test_pareto_overflowing_tau_fails_its_point_in_any_sweep_order(
+        tmp_path, capsys):
+    outputs = []
+    for sweep in ([1e10, 1.0], [1.0, 1e10]):
+        path = tiny_cost_pareto_config(tmp_path, {"type": "pareto", "sweep": sweep})
+        dest = tmp_path / f"front-{len(outputs)}.json"
+        assert main(["pareto", "--config", path, "--output", str(dest)]) == 0
+        assert capsys.readouterr().err == "1/2 sweep points solved\n"
+        outputs.append(dest.read_bytes())
+    assert outputs[0] == outputs[1]
+    failed = json.loads(outputs[0])[1]
+    assert failed["tau_tilde"] == 1e10 and failed["status"] == "failed"
+
+
+def test_overflowing_tau_tilde_is_a_solver_failure(tmp_path, capsys):
+    # the same failure, with the same text, as the sweep point's
+    path = tiny_cost_pareto_config(tmp_path, {"type": "pareto", "sweep": [1.0, 1e10]})
+    assert main(["pareto", "--config", path, "--format", "json"]) == 0
+    error = json.loads(capsys.readouterr().out)[1]["error"]
+    path = tiny_cost_pareto_config(tmp_path, {"type": "pareto", "tau_tilde": 1e10})
+    assert main(["allocate", "--config", path]) == 3
+    assert capsys.readouterr().err == f"solver failure: {error}\n"
+
+
 def test_projection_fallback_is_reported(tmp_path, capsys, monkeypatch):
     # with no entry left to enumerate, every fractional entry is rounded up
     # past the budget, so the only candidate fails and the fallback runs
@@ -337,12 +373,21 @@ def test_nonpositive_reps_exit_2(tmp_path, capsys, reps):
     assert "config error: --reps: must be > 0" in capsys.readouterr().err
 
 
-# the budget buys this many samples of group (2,) in each replication: the
-# first draw buffer takes 5.48 PiB, the second exceeds numpy's largest array
-@pytest.mark.parametrize("budget,count", [(3e14, 385711574504198),
-                                          (3e18, 3857115736507856384)])
-def test_group_samples_beyond_memory_exit_2(tmp_path, capsys, budget, count):
+def group_2_count(tmp_path, capsys, budget):
+    """The budget config at ``budget`` and the count of group (2,) that
+    ``mlblue allocate`` gives it."""
     path = budget_config(tmp_path, mode={"type": "budget", "budget": budget})
+    assert main(["allocate", "--config", path]) == 0
+    alloc = json.loads(capsys.readouterr().out)
+    return path, alloc["n"][alloc["groups"].index([2])]
+
+
+# the budget buys group (2,) about 1.29 samples per unit of budget in each
+# replication: at 3e14 the draw buffer takes 5.48 PiB, at 3e18 it exceeds
+# numpy's largest array
+@pytest.mark.parametrize("budget", [3e14, 3e18])
+def test_group_samples_beyond_memory_exit_2(tmp_path, capsys, budget):
+    path, count = group_2_count(tmp_path, capsys, budget)
     assert main(["estimate", "--config", path]) == 2
     assert (f"config error: /mode: group (2,) needs {count} samples per "
             "replication, which do not fit in memory" in capsys.readouterr().err)
@@ -350,10 +395,10 @@ def test_group_samples_beyond_memory_exit_2(tmp_path, capsys, budget, count):
 
 # the budget buys group (2,) 2^63 samples or more, which an int64 count
 # would wrap
-@pytest.mark.parametrize("budget,count", [(3e19, 38571156812603179008),
-                                          (3e20, 385711568126031757312)])
-def test_group_count_beyond_int64_exit_2(tmp_path, capsys, budget, count):
-    path = budget_config(tmp_path, mode={"type": "budget", "budget": budget})
+@pytest.mark.parametrize("budget", [3e19, 3e20])
+def test_group_count_beyond_int64_exit_2(tmp_path, capsys, budget):
+    path, count = group_2_count(tmp_path, capsys, budget)
+    assert count >= 2 ** 63
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["estimate", "--config", path]) == 2

@@ -9,6 +9,7 @@ from mlblue.config import (
     load_problem,
     parse_problem,
 )
+from mlblue.estimator import BlueSystem
 
 
 def minimal():
@@ -30,7 +31,7 @@ def synthetic_two_model(mode=None):
 
 def test_minimal_config_resolves():
     cfg = parse_problem(minimal())
-    assert cfg.num_models == 1 and cfg.num_outputs == 1
+    assert cfg.models.num_models == 1 and cfg.num_outputs == 1
     assert cfg.groups.groups == ((1,),)
     assert cfg.store.matrix(1)[0, 0] == 4.0
     assert cfg.seed == 0 and cfg.replications == 100
@@ -54,9 +55,7 @@ def test_null_entry_denies_group():
     rows = np.array([[True, False, True], [True, True, False], [False, True, True]])
     assert cfg.store.known_groups(rows).tolist() == [False, True, True]
     # the group survives enumeration but no estimator term uses it
-    from mlblue.allocate import systems_from_store
-
-    (system,) = systems_from_store(cfg.groups, cfg.store)
+    system = BlueSystem.from_covariance(cfg.groups, cfg.store)
     used = [cfg.groups.groups[k] for k in system.group_indices]
     assert (1, 3) not in used and (1, 2, 3) not in used
 

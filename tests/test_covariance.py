@@ -11,6 +11,8 @@ from mlblue.covariance import (
 )
 from mlblue.synthetic import SyntheticSuite
 
+from conftest import assert_outcome
+
 
 def test_two_point_sample_variance():
     store = sample_covariance([[1.0], [3.0]])
@@ -29,14 +31,12 @@ def test_sample_covariance_converges_at_root_n():
     # by about 10x
     suite = SyntheticSuite.random(3, seed=11)
     exact = suite.covariance(1)
-    dim = suite.loadings.shape[2]
     sizes = (10**2, 10**4, 10**6)
     errs = []
     for n in sizes:
         tot = 0.0
         for r in range(8):
-            z = suite.factor_draws(n, dim, seed=5, stream_index=1, replication=r)
-            vals = suite.evaluate([1, 2, 3], z)[:, :, 0]
+            vals = suite.draw_group([1, 2, 3], n, 5, 1, replication=r)[:, :, 0]
             est = sample_covariance(vals).matrix(1)
             tot += np.abs(est - exact).max()
         errs.append(tot / 8)
@@ -225,3 +225,34 @@ def test_polarization_diff_variance_roundtrip():
         cov, clipped = reconstruct_highfi_covariance(vi, vj, dv)
         assert not clipped
         assert vi + vj - 2.0 * cov == pytest.approx(dv, rel=1e-12)
+
+
+COVARIANCE_OUTCOMES = {
+    "store-not-square": (lambda: CovarianceStore([1.0, 2.0]),
+                         ValueError("matrices must be one square matrix per output")),
+    "known-2d": (lambda: CovarianceStore(np.eye(2), known=np.eye(2) > 0).known.shape,
+                 (1, 2, 2)),
+    "known-shape": (lambda: CovarianceStore(np.eye(2), known=np.ones((3, 3), bool)),
+                    ValueError("known mask shape mismatch")),
+    "repair-not-square": (lambda: spd_repair(np.ones((2, 3))),
+                          ValueError("expected a square matrix or a stack of them")),
+    "repair-floor": (lambda: spd_repair(np.eye(2), floor=-1.0),
+                     ValueError("floor must be nonnegative")),
+    "richardson-one-level": (lambda: richardson_extrapolate([1.0], 2.0),
+                             ValueError("need at least two known level values")),
+    "richardson-nan": (lambda: richardson_extrapolate([1.0, np.nan], 2.0),
+                       ValueError("level values must be finite")),
+    "richardson-rate": (lambda: richardson_extrapolate([1.0, 2.0], 0.0),
+                        ValueError("rate must be positive and ratio greater than 1")),
+    # array inputs give arrays; the second pair sits at |rho| = 1
+    "polarization-arrays": (
+        lambda: tuple(a.tolist() for a in reconstruct_highfi_covariance(
+            np.array([1.0, 1.0]), np.array([4.0, 1.0]), np.array([3.0, 0.0]))),
+        ([1.0, 1.0], [False, True])),
+}
+
+
+@pytest.mark.parametrize("call, outcome", COVARIANCE_OUTCOMES.values(),
+                         ids=COVARIANCE_OUTCOMES.keys())
+def test_covariance_edge_inputs(call, outcome):
+    assert_outcome(call, outcome)

@@ -9,13 +9,14 @@ from mlblue.estimator import (
     assemble_psi,
     blue_variance,
     combine_samples,
+    normalized_error,
     pseudo_inverse,
     realized_variance,
 )
 from mlblue.models import ModelSet, enumerate_groups
 from mlblue.synthetic import SyntheticSuite
 
-from conftest import all_output_modelset, random_spd
+from conftest import all_output_modelset, assert_outcome, random_spd
 
 
 def system_for(costs, cov, kappa=None, deny=()):
@@ -505,3 +506,24 @@ def test_batch_variance_bounds_the_scalar_rule(kind):
             assert variance / 1.5 <= low <= variance
             checked += 1
     assert checked > 100 and unsure > 0
+
+
+ESTIMATOR_REJECTIONS = {
+    "allocation-length": (lambda system: blue_variance(system, [1.0, 2.0]),
+                          "allocation must have length 1, got (2,)"),
+    "allocation-negative": (lambda system: blue_variance(system, [-1.0]),
+                            "allocation entries must be finite and nonnegative"),
+    "pinv-asymmetric": (lambda _: pseudo_inverse([[1.0, 2.0], [0.0, 1.0]]),
+                        "matrix must be symmetric"),
+    "pinv-indefinite": (lambda _: pseudo_inverse([[-1.0, 0.0], [0.0, 1.0]]),
+                        "matrix is not positive semidefinite"),
+    "highfi-variance-zero": (lambda _: normalized_error([1.0], [0.0]),
+                             "high-fidelity variances must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, message", ESTIMATOR_REJECTIONS.values(),
+                         ids=ESTIMATOR_REJECTIONS.keys())
+def test_estimator_rejects_malformed_input(call, message):
+    _, system = system_for([1.0], [[4.0]])
+    assert_outcome(lambda: call(system), ValueError(message))

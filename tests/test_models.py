@@ -10,7 +10,7 @@ from mlblue.models import (
     enumerate_groups,
 )
 
-from conftest import all_output_modelset
+from conftest import all_output_modelset, assert_outcome
 
 
 def test_three_model_full_enumeration_order():
@@ -168,3 +168,21 @@ def test_groupset_is_frozen():
     assert isinstance(gs, GroupSet)
     with pytest.raises(AttributeError):
         gs.num_models = 4
+
+
+MODELSET_REJECTIONS = {
+    "no-costs": ({"costs": []}, "costs must be a nonempty 1-d sequence"),
+    "negative-cost": ({"costs": [1.0, -1.0]}, "model costs must be positive and finite"),
+    "outputs-length": ({"costs": [1.0, 2.0], "outputs": [[1]]},
+                       "outputs must list one collection per model"),
+    "no-outputs": ({"costs": [1.0], "num_outputs": 0},
+                   "at least one output is required"),
+    "output-id": ({"costs": [1.0], "outputs": [[3]], "num_outputs": 2},
+                  "output id 3 out of range 1..2"),
+}
+
+
+@pytest.mark.parametrize("fields, message", MODELSET_REJECTIONS.values(),
+                         ids=MODELSET_REJECTIONS.keys())
+def test_modelset_rejects_malformed_input(fields, message):
+    assert_outcome(lambda: ModelSet(**fields), ValueError(message))

@@ -456,3 +456,16 @@ def test_command_evaluator_non_finite_response(tmp_path):
     n[cfg.groups.groups.index((1,))] = 1
     with pytest.raises(EvaluatorError, match="bad evaluator response at group 0"):
         run_estimate(cfg, n, replications=1)
+
+
+def test_command_evaluator_closing_its_input_is_an_evaluator_failure(tmp_path):
+    # the evaluator answers one request, then stops reading, so the next
+    # request meets a broken pipe
+    closing = ("import os, sys\nsys.stdin.readline()\nos.close(0)\n"
+               "print('{\"values\": [0.0]}', flush=True)\n")
+    cfg = command_config(tmp_path, script=closing)
+    n = np.zeros(cfg.groups.num_groups)
+    n[cfg.groups.groups.index((1,))] = 2
+    with pytest.raises(EvaluatorError, match=r"^evaluator died at group 0 "
+                                             r"\(replication 0\), sample 1$"):
+        run_estimate(cfg, n, replications=1)

@@ -18,7 +18,7 @@ from mlblue.sdp import (
     solve_sdp,
 )
 
-from conftest import all_output_modelset
+from conftest import all_output_modelset, assert_outcome
 
 
 def corner_problem():
@@ -390,3 +390,26 @@ def test_schur_matrix_and_adjoint_match_dense_reference_and_lp_rows():
             adj_ref[i] += np.trace(f @ z)
     adj = _adjoint(lifted, ineq, base, zs, lp_vec)
     assert np.abs(adj - adj_ref).max() <= 1e-12 * np.abs(adj_ref).max()
+
+
+SDP_REJECTIONS = {
+    "constant-not-square": (lambda: PsdBlock(np.zeros((2, 3)), [0], np.zeros((1, 2, 2))),
+                            "block constant must be square"),
+    "coefficients-shape": (lambda: PsdBlock(np.eye(2), [0], np.zeros((1, 3, 3))),
+                           "coefficients must be (k, p, p)"),
+    "index-count": (lambda: PsdBlock(np.eye(2), [0, 1], np.zeros((1, 2, 2))),
+                    "one variable index per coefficient matrix"),
+    "index-repeated": (lambda: PsdBlock(np.eye(2), [0, 0], np.zeros((2, 2, 2))),
+                       "repeated variable index in block"),
+    "objective-empty": (lambda: SdpProblem([]), "objective must be a nonempty vector"),
+    "index-range": (lambda: SdpProblem([1.0], [PsdBlock(np.eye(2), [1], np.zeros((1, 2, 2)))]),
+                    "block variable index out of range"),
+    "rhs-count": (lambda: SdpProblem([1.0, 1.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0, 2.0]),
+                  "one rhs entry per inequality row"),
+}
+
+
+@pytest.mark.parametrize("call, message", SDP_REJECTIONS.values(),
+                         ids=SDP_REJECTIONS.keys())
+def test_sdp_data_rejects_malformed_input(call, message):
+    assert_outcome(call, ValueError(message))

@@ -6,6 +6,8 @@ import pytest
 from mlblue import synthetic
 from mlblue.synthetic import SyntheticSuite
 
+from conftest import assert_outcome
+
 
 def fresh_block(count, dim, seed, stream_index, replication):
     # the stream written out: a new generator keyed by (seed, stream_index),
@@ -25,8 +27,6 @@ def test_factor_blocks_are_bit_identical_to_fresh_generators(seed, count, dim):
     for block, r in zip(blocks, replications):
         assert block.shape == (count, dim)
         assert np.array_equal(block, fresh_block(count, dim, seed, 2, r))
-    assert np.array_equal(SyntheticSuite.factor_draws(count, dim, seed, 2, 3),
-                          fresh_block(count, dim, seed, 2, 3))
 
 
 @pytest.mark.parametrize("group,count", [((3, 1), 6), ((2,), 1), ((1, 2, 4), 0)])
@@ -54,7 +54,7 @@ def per_replication_sums(suite, group, count, seed, k, reps):
         suite.num_factors, -1)
     out = np.empty((reps, len(group), suite.num_outputs))
     for r in range(reps):
-        z = SyntheticSuite.factor_draws(count, suite.num_factors, seed, k, r)
+        z = next(SyntheticSuite.factor_blocks(count, suite.num_factors, seed, k, (r,)))
         out[r] = offset + (z.sum(axis=0) @ loads).reshape(offset.shape)
     return out
 
@@ -94,3 +94,22 @@ def test_draw_sums_scratch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+SUITE = SyntheticSuite.random(2, seed=0)
+SUITE_REJECTIONS = {
+    "loadings-nan": (lambda: SyntheticSuite([[1.0, np.nan]]), "loadings must be finite"),
+    "means-shape": (lambda: SyntheticSuite([[1.0], [0.5]], means=[0.0]),
+                    "means must be finite with shape (outputs, models)"),
+    "z-shape": (lambda: SUITE.evaluate([1], np.zeros((3, 1))),
+                "z must have shape (count, num_factors)"),
+    "negative-count": (lambda: SUITE.draw_group((1, 2), -1, 0, 0), "count must be >= 0"),
+    "no-models": (lambda: SyntheticSuite.hierarchy(0),
+                  "need at least one model and one output"),
+}
+
+
+@pytest.mark.parametrize("call, message", SUITE_REJECTIONS.values(),
+                         ids=SUITE_REJECTIONS.keys())
+def test_suite_rejects_malformed_input(call, message):
+    assert_outcome(call, ValueError(message))

@@ -10,19 +10,22 @@ SDP-based allocator improves on.
 Multi-output variants follow the conservative rule: compute each output's
 allocation separately on a candidate model subset, pay for the entrywise
 maximum of the sample counts, and report each output's variance at its own
-counts. The best subset is found by exhaustive search, which is why these
-baselines are limited to small model counts.
+counts. The best subset is found by exhaustive search over the groups of
+``enumerate_groups`` that hold model 1 and that every output can use, by
+the estimator's ``usable_groups`` rule; that is why these baselines are
+limited to small model counts. A subset's covariance entries are gathered
+for every output by one fancy index; the allocations stay per output.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovarianceStore
-from .models import ModelSet
+from .estimator import usable_groups
+from .models import ModelSet, enumerate_groups
 
 __all__ = [
     "BaselineAllocation",
@@ -156,15 +159,6 @@ def mlmc_levels(subset, costs):
     return levels
 
 
-def _subset_outputs_ok(models: ModelSet, store: CovarianceStore, subset) -> bool:
-    row = np.zeros((1, models.num_models), dtype=bool)
-    row[0, np.asarray(subset) - 1] = True
-    if not models.produces[row[0]].all():
-        return False
-    return all(store.known_groups(row, s)[0]
-               for s in range(1, store.num_outputs + 1))
-
-
 def _suffix_groups(per_model):
     """(groups, count increments) of nested, positive per-model counts."""
     groups, counts, prev = [], [], 0
@@ -197,20 +191,20 @@ def multi_output_baseline(
     if eps2.size != store.num_outputs or np.any(eps2 <= 0):
         raise ValueError("need one positive variance target per output")
 
+    # the candidates are the groups holding model 1 that every output can use
+    subsets = enumerate_groups(models)
+    usable = np.all([usable_groups(subsets, store, s)
+                     for s in range(1, store.num_outputs + 1)], axis=0)
     best = None
-    others = range(2, n_models + 1)
-    for size in range(0, n_models):
-        for extra in itertools.combinations(others, size):
-            subset = (1,) + extra
-            if not _subset_outputs_ok(models, store, subset):
-                continue
-            result = _evaluate_subset(method, models, store, subset, eps2)
-            if result is None:
-                continue
-            groups, counts, cost, variances = result
-            key = (cost, subset)
-            if best is None or key < best[0]:
-                best = (key, groups, counts, cost, variances)
+    for k in np.flatnonzero(usable & subsets.members[:, 0]):
+        subset = subsets.groups[k]
+        result = _evaluate_subset(method, models, store, subset, eps2)
+        if result is None:
+            continue
+        groups, counts, cost, variances = result
+        key = (cost, subset)
+        if best is None or key < best[0]:
+            best = (key, groups, counts, cost, variances)
 
     if best is None:
         raise ValueError(f"no admissible {method.upper()} configuration")
@@ -225,77 +219,52 @@ def multi_output_baseline(
 
 
 def _evaluate_subset(method, models, store, subset, eps2):
-    costs = models.costs
-    m = store.num_outputs
+    """(groups, counts, cost, per-output variances) of one model subset, or
+    None when some output rejects it. Each output's covariance entries are
+    gathered by one fancy index over ``store.matrices``."""
+    mats = store.matrices
     if method == "mlmc":
-        levels = mlmc_levels(subset, costs)
-        level_costs = np.array(
-            [sum(costs[i - 1] for i in level) for level in levels]
-        )
+        levels = mlmc_levels(subset, models.costs)
+        # model ids in level order: level k pairs order[k] with order[k + 1]
+        order = np.array([level[0] for level in levels]) - 1
+        diag = mats[:, order, order]
+        level_vars = np.concatenate(
+            [diag[:, :-1] + diag[:, 1:] - 2 * mats[:, order[:-1], order[1:]],
+             diag[:, -1:]], axis=1)
+        if np.any(level_vars < 0):
+            return None  # store not PSD enough to give level variances
+        c = models.costs[order]
+        level_costs = np.append(c[:-1] + c[1:], c[-1])
         counts = np.zeros(len(levels))
-        level_vars = np.zeros((m, len(levels)))
-        for s in range(1, m + 1):
-            cov = store.matrix(s)
-            for k, level in enumerate(levels):
-                if len(level) == 1:
-                    (i,) = level
-                    level_vars[s - 1, k] = cov[i - 1, i - 1]
-                else:
-                    i, j = level
-                    level_vars[s - 1, k] = (
-                        cov[i - 1, i - 1] + cov[j - 1, j - 1] - 2 * cov[i - 1, j - 1]
-                    )
-            if np.any(level_vars[s - 1] < 0):
-                return None  # store not PSD enough to give level variances
+        for s in range(store.num_outputs):
             counts = np.maximum(
-                counts, mlmc_allocation(level_vars[s - 1], level_costs, eps2[s - 1])
-            )
+                counts, mlmc_allocation(level_vars[s], level_costs, eps2[s]))
         samples = np.ceil(counts - 1e-9).astype(int)
         samples = np.maximum(samples, 1)  # a level with ~0 variance still needs a sample
         cost = float(level_costs @ samples)
-        variances = np.array(
-            [mlmc_variance(level_vars[s], samples) for s in range(m)]
-        )
+        variances = np.array([mlmc_variance(v, samples) for v in level_vars])
         return tuple(levels), tuple(int(v) for v in samples), cost, variances
 
     # mfmc: per-output ordering by |correlation with model 1|
-    per_model_max = {i: 0 for i in subset}
-    per_output = []
-    for s in range(1, m + 1):
-        cov = store.matrix(s)
-        sig2 = np.array([cov[i - 1, i - 1] for i in subset])
-        if np.any(sig2 <= 0):
-            return None
-        v1 = cov[0, 0]
-        rho = np.array(
-            [cov[0, i - 1] / np.sqrt(v1 * cov[i - 1, i - 1]) for i in subset]
-        )
-        order = sorted(
-            range(len(subset)), key=lambda a: (-abs(rho[a]), subset[a])
-        )
-        ordered_models = [subset[a] for a in order]
-        if ordered_models[0] != 1:
+    idx = np.asarray(subset) - 1
+    sig2 = mats[:, idx, idx]
+    if np.any(sig2 <= 0):
+        return None
+    rho = mats[:, 0, idx] / np.sqrt(mats[:, :1, 0] * sig2)
+    costs = models.costs[idx]
+    per_model_max = np.zeros(idx.size, dtype=int)
+    variances = []
+    for s in range(store.num_outputs):
+        order = sorted(range(idx.size), key=lambda a: (-abs(rho[s, a]), subset[a]))
+        if subset[order[0]] != 1:
             return None  # another model ties |rho|=1; ordering is degenerate
-        counts = mfmc_allocation(
-            sig2[order],
-            rho[order],
-            np.array([costs[i - 1] for i in ordered_models]),
-            eps2[s - 1],
-        )
+        counts = mfmc_allocation(sig2[s, order], rho[s, order], costs[order], eps2[s])
         if counts is None:
             return None
         counts = np.maximum(np.ceil(counts - 1e-9).astype(int), 1)
-        per_output.append((ordered_models, sig2[order], rho[order], counts))
-        for i, c in zip(ordered_models, counts):
-            per_model_max[i] = max(per_model_max[i], int(c))
-
-    cost = float(
-        sum(costs[i - 1] * per_model_max[i] for i in subset)
-    )
-    variances = np.array(
-        [
-            mfmc_variance(sig2o, rhoo, counts)
-            for (_, sig2o, rhoo, counts) in per_output
-        ]
-    )
-    return (*_suffix_groups(per_model_max), cost, variances)
+        per_model_max[order] = np.maximum(per_model_max[order], counts)
+        variances.append(mfmc_variance(sig2[s, order], rho[s, order], counts))
+    # a sequential sum in subset order, not a dot product
+    cost = float(sum(costs * per_model_max))
+    per_model = dict(zip(subset, per_model_max.tolist()))
+    return (*_suffix_groups(per_model), cost, np.array(variances))

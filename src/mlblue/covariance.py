@@ -71,9 +71,6 @@ class CovarianceStore:
     def num_outputs(self) -> int:
         return self.matrices.shape[0]
 
-    def matrix(self, output: int = 1) -> np.ndarray:
-        return self.matrices[output - 1]
-
     def known_groups(self, members, output: int = 1) -> np.ndarray:
         """Mask over the rows of a (num_groups, num_models) bool membership
         matrix: True where every pairwise entry of the row's models is known."""

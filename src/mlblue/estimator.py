@@ -27,6 +27,7 @@ from .models import GroupSet
 __all__ = [
     "BlueSystem",
     "IllPosedError",
+    "usable_groups",
     "assemble_psi",
     "pseudo_inverse",
     "blue_variance",
@@ -43,6 +44,13 @@ _PINV_RTOL = 1e-12
 
 class IllPosedError(RuntimeError):
     """The high-fidelity mean is not identifiable from the sampled groups."""
+
+
+def usable_groups(groups: GroupSet, store: CovarianceStore,
+                  output: int = 1) -> np.ndarray:
+    """Mask over ``groups``: allowed for ``output``, every member pair known."""
+    return (groups.per_output_allowed[output - 1]
+            & store.known_groups(groups.members, output))
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,7 @@ class BlueSystem:
         cls, groups: GroupSet, store: CovarianceStore, output: int = 1
     ) -> "BlueSystem":
         matrix = store.matrices[output - 1]
-        usable = np.flatnonzero(
-            groups.per_output_allowed[output - 1]
-            & store.known_groups(groups.members, output)
-        )
+        usable = np.flatnonzero(usable_groups(groups, store, output))
         members = groups.members[usable]
         sizes = members.sum(axis=1)
         dim = groups.num_models

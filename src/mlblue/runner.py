@@ -144,6 +144,8 @@ class _CommandEvaluator:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+        finally:
+            self.proc.stdout.close()
 
 
 def spec_from_config(config: ProblemConfig,

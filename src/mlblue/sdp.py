@@ -216,9 +216,20 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSettings:
+    """Stopping rule of ``solve_sdp``: both tolerances finite and > 0, and
+    ``max_iter`` an integer >= 0; anything else raises ValueError."""
+
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        for name in ("gap_tol", "feas_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 0):
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 @dataclass

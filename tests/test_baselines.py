@@ -83,7 +83,7 @@ def test_mlmc_baseline_groups_are_the_level_pairs():
         costs = np.array([4.0, 0.5, 0.05])
         store = CovarianceStore(random_spd(rng, 3)[None])
         alloc = multi_output_baseline("mlmc", ModelSet(costs), store,
-                                      [0.01 * store.matrix(1)[0, 0]])
+                                      [0.01 * store.matrices[0][0, 0]])
         assert list(alloc.groups) == mlmc_levels(_subset(alloc), costs)
         assert len(alloc.counts) == len(alloc.groups)
         assert all(isinstance(c, int) and c >= 1 for c in alloc.counts)
@@ -208,21 +208,34 @@ def _subset(alloc):
 
 
 def _exhaustive_best(method, models, store, eps2):
-    from mlblue.baselines import _evaluate_subset, _subset_outputs_ok
-
+    """``multi_output_baseline`` by brute force: (groups, counts, cost,
+    variances) of the best subset, or the ValueError the search raises. A
+    subset is a candidate when it holds model 1, each of its models produces
+    every output, and every pair of its models is known for every output."""
+    eps2 = np.asarray(eps2, dtype=float).reshape(-1)
     best = None
     for size in range(models.num_models):
         for extra in itertools.combinations(range(2, models.num_models + 1), size):
             subset = (1,) + extra
-            if not _subset_outputs_ok(models, store, subset):
+            idx = np.array(subset) - 1
+            if not (models.produces[idx].all()
+                    and all(known[np.ix_(idx, idx)].all() for known in store.known)):
                 continue
-            out = _evaluate_subset(method, models, store, subset, np.atleast_1d(eps2))
-            if out is None:
-                continue
-            key = (out[2], subset)
-            if best is None or key < best[0]:
-                best = (key, subset)
+            out = _evaluate_subset(method, models, store, subset, eps2)
+            if out is not None and (best is None or (out[2], subset) < best[0]):
+                best = ((out[2], subset), out)
+    if best is None:
+        return ValueError(f"no admissible {method.upper()} configuration")
     return best[1]
+
+
+def _searched(method, models, store, eps2):
+    """``multi_output_baseline``'s answer in ``_exhaustive_best``'s form."""
+    try:
+        alloc = multi_output_baseline(method, models, store, eps2)
+    except ValueError as exc:
+        return exc
+    return alloc.groups, alloc.counts, alloc.total_cost, alloc.predicted_variance
 
 
 def test_multi_output_single_reduces_to_best_subset():
@@ -232,11 +245,81 @@ def test_multi_output_single_reduces_to_best_subset():
     store = CovarianceStore(cov[None])
     for method in ("mlmc", "mfmc"):
         alloc = multi_output_baseline(method, models, store, [0.01 * cov[0, 0]])
-        assert _subset(alloc) == _exhaustive_best(
-            method, models, store, 0.01 * cov[0, 0]
-        )
+        groups = _exhaustive_best(method, models, store, 0.01 * cov[0, 0])[0]
+        assert alloc.groups == groups
         assert alloc.method == method
         assert np.all(alloc.predicted_variance <= 0.01 * cov[0, 0] * (1 + 1e-9))
+
+
+def _correlated(rng, n):
+    """A covariance where model i is a shared factor plus noise that grows
+    with i, so that subsets of several models pay off."""
+    load = rng.uniform(0.8, 1.2, n)
+    noise = 0.05 * 2.0 ** np.arange(n) * rng.uniform(0.5, 1.5, n)
+    return np.outer(load, load) + np.diag(noise ** 2)
+
+
+def _two_output_case(seed, outputs, known=None, bend=None):
+    """(models, store, eps2) over 4 models and 2 outputs; ``bend`` edits
+    the covariances before the store is built."""
+    rng = np.random.default_rng(seed)
+    cov = np.stack([_correlated(rng, 4), _correlated(rng, 4)])
+    if bend is not None:
+        bend(cov)
+    models = ModelSet([8.0, 2.0, 0.5, 0.1], outputs=outputs, num_outputs=2)
+    return models, CovarianceStore(cov, known), 0.02 * np.abs(cov).max(axis=(1, 2))
+
+
+def _unknown_pair(a, b):
+    known = np.ones((2, 4, 4), dtype=bool)
+    known[1, a - 1, b - 1] = known[1, b - 1, a - 1] = False
+    return known
+
+
+def _not_psd(cov):
+    # the pair (2, 3) correlates past 1 in output 1, so the level (2, 3)
+    # has a negative variance there, and model 4's variance in output 2
+    # is negative
+    cov[0, 1, 2] = cov[0, 2, 1] = 1.5 * np.sqrt(cov[0, 1, 1] * cov[0, 2, 2])
+    cov[1, 3, 3] = -cov[1, 3, 3]
+
+
+def _twelve_models():
+    rng = np.random.default_rng(50)
+    costs = 4.0 ** np.arange(11, -1, -1)
+    cov = np.stack([_correlated(rng, 12), _correlated(rng, 12)])
+    models = all_output_modelset(costs, num_outputs=2)
+    return models, CovarianceStore(cov), 1e-3 * cov[:, 0, 0]
+
+
+def _zero_highfi_variance(cov):
+    # output 2's model 1 is constant: MLMC samples it once, MFMC rejects it
+    cov[1, 0, :] = cov[1, :, 0] = 0.0
+
+
+ALL = [[1, 2]] * 4
+SEARCH_CASES = {
+    "model-3-misses-output-2": lambda: _two_output_case(51, [[1, 2], [1, 2], [1], [1, 2]]),
+    "unknown-pair": lambda: _two_output_case(52, ALL, known=_unknown_pair(2, 4)),
+    "unknown-pair-with-model-1": lambda: _two_output_case(54, ALL, known=_unknown_pair(1, 2)),
+    "not-psd": lambda: _two_output_case(56, ALL, bend=_not_psd),
+    "zero-highfi-variance": lambda: _two_output_case(55, ALL, bend=_zero_highfi_variance),
+    f"{_MAX_EXHAUSTIVE_MODELS}-models": _twelve_models,
+}
+
+
+@pytest.mark.parametrize("method", ["mlmc", "mfmc"])
+@pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
+def test_search_matches_brute_force(case, method):
+    models, store, eps2 = case()
+    expected = _exhaustive_best(method, models, store, eps2)
+    got = _searched(method, models, store, eps2)
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+        return
+    groups, counts, cost, variances = got
+    assert (groups, counts, cost) == expected[:3]
+    assert np.array_equal(variances, expected[3])
 
 
 def test_multi_output_identical_outputs_match_single():

@@ -33,7 +33,7 @@ def test_minimal_config_resolves():
     cfg = parse_problem(minimal())
     assert cfg.models.num_models == 1 and cfg.num_outputs == 1
     assert cfg.groups.groups == ((1,),)
-    assert cfg.store.matrix(1)[0, 0] == 4.0
+    assert cfg.store.matrices[0][0, 0] == 4.0
     assert cfg.seed == 0 and cfg.replications == 100
     assert cfg.evaluator == {"type": "synthetic"} or cfg.evaluator["type"] == "synthetic"
 
@@ -212,7 +212,7 @@ def test_hierarchy_synthetic_section():
     from mlblue.synthetic import SyntheticSuite
 
     ref = SyntheticSuite.hierarchy(4, 1, rate=2.0, strength=0.5)
-    assert np.allclose(cfg.store.matrix(1), ref.exact_store().matrix(1))
+    assert np.allclose(cfg.store.matrices[0], ref.exact_store().matrices[0])
 
 
 def test_invalid_json_wrapped(tmp_path):

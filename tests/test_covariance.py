@@ -16,12 +16,12 @@ from conftest import assert_outcome
 
 def test_two_point_sample_variance():
     store = sample_covariance([[1.0], [3.0]])
-    assert store.matrix(1)[0, 0] == pytest.approx(2.0)
+    assert store.matrices[0][0, 0] == pytest.approx(2.0)
 
 
 def test_constant_column_flagged_degenerate():
     store = sample_covariance([[5.0], [5.0], [5.0]])
-    assert store.matrix(1)[0, 0] == 0.0
+    assert store.matrices[0][0, 0] == 0.0
     assert store.known[0, 0, 0]  # known, but with zero variance
 
 
@@ -37,7 +37,7 @@ def test_sample_covariance_converges_at_root_n():
         tot = 0.0
         for r in range(8):
             vals = suite.draw_group([1, 2, 3], n, 5, 1, replication=r)[:, :, 0]
-            est = sample_covariance(vals).matrix(1)
+            est = sample_covariance(vals).matrices[0]
             tot += np.abs(est - exact).max()
         errs.append(tot / 8)
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
@@ -48,8 +48,8 @@ def test_sample_covariance_row_permutation_equivariant():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((40, 3))
     perm = rng.permutation(40)
-    a = sample_covariance(vals).matrix(1)
-    b = sample_covariance(vals[perm]).matrix(1)
+    a = sample_covariance(vals).matrices[0]
+    b = sample_covariance(vals[perm]).matrices[0]
     assert np.array_equal(a, a.T)
     assert np.allclose(a, b, rtol=0, atol=1e-14)
 
@@ -139,7 +139,7 @@ def test_store_rejects_asymmetric_known_entries():
 def test_with_updates_sets_symmetric_entries():
     store = CovarianceStore(np.eye(2)[None], known=np.zeros((1, 2, 2), bool))
     upd = store.with_updates(1, [(1, 1, 4.0), (1, 2, 1.5)])
-    assert upd.matrix(1)[0, 1] == upd.matrix(1)[1, 0] == 1.5
+    assert upd.matrices[0][0, 1] == upd.matrices[0][1, 0] == 1.5
     assert upd.known[0][0, 1] and upd.known[0][1, 0]
     assert not store.known[0].any()  # original untouched
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mlblue import runner
 from mlblue.allocate import _rows, integer_projection, solve_mosap
 from mlblue.baselines import BaselineAllocation, multi_output_baseline
 from mlblue.config import ConfigError, parse_problem
@@ -469,3 +470,27 @@ def test_command_evaluator_closing_its_input_is_an_evaluator_failure(tmp_path):
     with pytest.raises(EvaluatorError, match=r"^evaluator died at group 0 "
                                              r"\(replication 0\), sample 1$"):
         run_estimate(cfg, n, replications=1)
+
+
+@pytest.mark.parametrize("script", [EVALUATOR, "import sys\nsys.stdin.readline()\n"],
+                         ids=["answers", "dies"])
+def test_command_evaluator_closes_its_pipes(tmp_path, monkeypatch, script):
+    started = []
+
+    class Recorded(runner._CommandEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(runner, "_CommandEvaluator", Recorded)
+    cfg = command_config(tmp_path, script=script)
+    n = np.zeros(cfg.groups.num_groups)
+    n[cfg.groups.groups.index((1,))] = 2
+    if script == EVALUATOR:
+        run_estimate(cfg, n, replications=1)
+    else:
+        with pytest.raises(EvaluatorError, match="closed its output"):
+            run_estimate(cfg, n, replications=1)
+    (evaluator,) = started
+    assert evaluator.proc.stdin.closed and evaluator.proc.stdout.closed
+    assert evaluator.proc.returncode is not None

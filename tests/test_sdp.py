@@ -136,6 +136,21 @@ def test_max_iter_reports_best_iterate():
     assert sol.status == "max_iter"
     assert sol.iterations == 2
     assert np.isfinite(sol.x).all()
+    # no iteration at all still returns the starting point
+    assert solve_sdp(corner_problem(), SdpSettings(max_iter=0)).iterations == 0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("gap_tol", np.nan, "gap_tol must be a finite number > 0, got nan"),
+    ("gap_tol", np.inf, "gap_tol must be a finite number > 0, got inf"),
+    ("gap_tol", 0.0, "gap_tol must be a finite number > 0, got 0.0"),
+    ("feas_tol", -1.0, "feas_tol must be a finite number > 0, got -1.0"),
+    ("feas_tol", np.nan, "feas_tol must be a finite number > 0, got nan"),
+    ("max_iter", -1, "max_iter must be an integer >= 0, got -1"),
+    ("max_iter", 2.5, "max_iter must be an integer >= 0, got 2.5"),
+])
+def test_settings_refuse_values_the_solver_cannot_run_with(field, value, message):
+    assert_outcome(lambda: SdpSettings(**{field: value}), ValueError(message))
 
 
 def test_mosap_objective_matches_grid_oracle():

@@ -243,7 +243,7 @@ def _build(spec: MosapSpec):
     block_scales = []
     uniform = alloc_scale / num_groups
     for system in spec.systems:
-        psi = _weighted_sum(system.lifted, uniform[system.group_indices])
+        psi = _weighted_sum(system.lifted, uniform)
         scale = float(np.linalg.norm(psi, 2))
         block_scales.append(max(scale, 1e-300))
     block_scales = np.asarray(block_scales)
@@ -253,21 +253,19 @@ def _build(spec: MosapSpec):
     for s, (system, bscale) in enumerate(zip(spec.systems, block_scales)):
         # the block's rows: the models some usable group touches, then the
         # corner; model 1 is always among them, so it sits at row 0
-        active = np.flatnonzero(system.members.any(axis=0))
+        active = np.flatnonzero(system.members[system.usable].any(axis=0))
         p = active.size + 1
-        idx = system.group_indices
         constant = np.zeros((p, p))
         constant[0, p - 1] = constant[p - 1, 0] = 1.0
-        coeffs = np.zeros((idx.size + has_t, p, p))
-        coeffs[: idx.size, :-1, :-1] = system.lifted[:, active][:, :, active] * (
-            alloc_scale[idx] / bscale
+        coeffs = np.zeros((dim, p, p))
+        coeffs[:num_groups, :-1, :-1] = system.lifted[:, active][:, :, active] * (
+            alloc_scale / bscale
         )[:, None, None]
         if has_t:
             coeffs[-1, p - 1, p - 1] = bscale / var_scale
-            idx = np.append(idx, num_groups)
         else:
             constant[p - 1, p - 1] = spec.tolerances[s] * bscale
-        blocks.append(PsdBlock(constant, idx, coeffs))
+        blocks.append(PsdBlock(constant, coeffs))
 
     # the cost row is scaled by its bound, every other row by its largest
     # scaled entry
@@ -392,14 +390,10 @@ class _BatchScorer:
         self.linear_abs = (np.abs(rows) @ base, np.abs(rows[:, idx]).T)
         self.psi = []
         for system in spec.systems:
-            psi_base = _weighted_sum(system.information, base[system.group_indices])
-            steps = np.zeros((idx.size,) + psi_base.shape)
-            local = np.full(spec.groups.num_groups, -1)
-            local[system.group_indices] = np.arange(system.group_indices.size)
-            hit = local[idx] >= 0
-            steps[hit] = system.information[local[idx[hit]]]
+            psi_base = _weighted_sum(system.information, base)
             last = np.roll(np.arange(psi_base.shape[0]), -1)
-            steps = steps[:, last][:, :, last].reshape(idx.size, psi_base.size)
+            steps = system.information[idx][:, last][:, :, last].reshape(
+                idx.size, psi_base.size)
             self.psi.append((psi_base[last][:, last], steps))
 
     def bounds_of(self, bits: np.ndarray):

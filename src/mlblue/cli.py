@@ -178,7 +178,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # IllPosedError among them
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError among them
+    except (ValueError, OSError) as exc:  # ConfigError among them
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not from opening --config or --output: a closed stdout, say
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,10 +9,10 @@ high-fidelity mean estimate. A model left unsampled simply produces a zero
 row and column, so rank deficiency is expected and handled spectrally
 rather than treated as an error.
 
-An output's blocks are built once, into stacks over its usable groups:
-the groups are rows of the group set's membership matrix, and the blocks
-of one group size are gathered, repaired and factored by one batched
-call each.
+An output's blocks are built once, into stacks over the whole group set:
+row k of every stack is group k, and the block of a group the output
+cannot use is zero. The blocks of one group size are gathered, repaired
+and factored by one batched call each.
 """
 
 from __future__ import annotations
@@ -55,54 +55,59 @@ def usable_groups(groups: GroupSet, store: CovarianceStore,
 
 @dataclass(frozen=True)
 class BlueSystem:
-    """Estimator-side view of one output: its usable groups as stacked blocks.
+    """Estimator-side view of one output: a block per group, stacked.
 
     A group is usable when it is allowed for the output and its covariance
     block is fully known in the store; every other group behaves as if it
-    did not exist for this output. Row j of each stack belongs to global
-    group ``group_indices[j]``, in group order; the stacks are read-only.
+    did not exist for this output, and its blocks are zero. Row k of each
+    stack belongs to group k of the group set; the stacks are read-only.
     ``from_covariance`` raises ValueError naming the first group, in group
     order, whose repaired block is not finite, and LinAlgError when a
     repaired block is not positive definite.
     """
 
-    num_models: int
-    num_groups: int
     output: int
-    group_indices: np.ndarray  # (K,) global index of each usable group
-    members: np.ndarray  # (K, L) bool: the models in each group
-    # (K, L, L) R_kᵀ C_k⁻¹ R_k at full size, zero outside the group; the
+    usable: np.ndarray  # (G,) bool: the groups this output can use
+    members: np.ndarray  # (G, L) bool: the group set's membership matrix
+    # (G, L, L) R_kᵀ C_k⁻¹ R_k at full size, zero outside the group; the
     # inverse comes from the covariance's Cholesky factor
     information: np.ndarray
-    # (K, L, L) the allocation SDP's inverse: eigenvalues below 1e-6 of the
+    # (G, L, L) the allocation SDP's inverse: eigenvalues below 1e-6 of the
     # largest are lifted before inverting. A store with a clipped (|rho| = 1)
     # pair otherwise claims ~1e10 units of information per sample, and the
     # Newton systems lose those directions in double precision. It only
     # steers the search; variances are always computed from ``information``.
     lifted: np.ndarray
     highfi_variance: float
-    # over the global group list: usable for this output and contain model 1
-    anchor_mask: np.ndarray
+    anchor_mask: np.ndarray  # (G,) bool: usable and contain model 1
+
+    @property
+    def num_groups(self) -> int:
+        return self.members.shape[0]
+
+    @property
+    def num_models(self) -> int:
+        return self.members.shape[1]
 
     @classmethod
     def from_covariance(
         cls, groups: GroupSet, store: CovarianceStore, output: int = 1
     ) -> "BlueSystem":
         matrix = store.matrices[output - 1]
-        usable = np.flatnonzero(usable_groups(groups, store, output))
-        members = groups.members[usable]
+        usable = usable_groups(groups, store, output)
+        members = groups.members
         sizes = members.sum(axis=1)
-        dim = groups.num_models
-        information = np.zeros((usable.size, dim, dim))
-        lifted = np.zeros((usable.size, dim, dim))
+        shape = (groups.num_groups, groups.num_models, groups.num_models)
+        information = np.zeros(shape)
+        lifted = np.zeros(shape)
         # one pass per group size: gather, repair and factor its blocks
-        for width in sorted(set(sizes.tolist())):
-            rows = np.flatnonzero(sizes == width)
+        for width in sorted(set(sizes[usable].tolist())):
+            rows = np.flatnonzero(usable & (sizes == width))
             idx = np.nonzero(members[rows])[1].reshape(rows.size, width)
             cov = spd_repair(matrix[idx[:, :, None], idx[:, None, :]])
             bad = ~np.isfinite(cov).all(axis=(1, 2))
             if bad.any():
-                group = groups.groups[usable[rows[np.argmax(bad)]]]
+                group = groups.groups[rows[np.argmax(bad)]]
                 raise ValueError(
                     f"covariance of group {group} for output {output} is not finite"
                 )
@@ -115,19 +120,16 @@ class BlueSystem:
             at = (rows[:, None, None], idx[:, :, None], idx[:, None, :])
             information[at] = 0.5 * (inv + inv.transpose(0, 2, 1))
             lifted[at] = 0.5 * (lift + lift.transpose(0, 2, 1))
-        anchor_mask = np.zeros(groups.num_groups, dtype=bool)
-        anchor_mask[usable] = members[:, 0]
+        anchor_mask = usable & members[:, 0]
         if not np.any(anchor_mask):
             raise IllPosedError(
                 f"output {output} has no usable group containing model 1"
             )
-        for arr in (usable, members, information, lifted, anchor_mask):
+        for arr in (usable, information, lifted, anchor_mask):
             arr.setflags(write=False)
         return cls(
-            num_models=groups.num_models,
-            num_groups=groups.num_groups,
             output=output,
-            group_indices=usable,
+            usable=usable,
             members=members,
             information=information,
             lifted=lifted,
@@ -150,11 +152,11 @@ def _check_allocation(system: BlueSystem, n) -> np.ndarray:
 def assemble_psi(system: BlueSystem, n) -> np.ndarray:
     """Information matrix of the estimator at allocation n (full size)."""
     n = _check_allocation(system, n)
-    return _weighted_sum(system.information, n[system.group_indices])
+    return _weighted_sum(system.information, n)
 
 
 def _weighted_sum(stack, weights) -> np.ndarray:
-    """Σ_k weights[k] * stack[k] over a (K, L, L) stack of group blocks."""
+    """Σ_k weights[k] * stack[k] over a (G, L, L) stack of group blocks."""
     # summed along axis 0 in group order, so Ψ is reproducible bit for bit;
     # tensordot or @ would reorder the sum
     return (weights[:, None, None] * stack).sum(axis=0)
@@ -250,12 +252,11 @@ def realized_variance(system: BlueSystem, n, true_store: CovarianceStore) -> flo
     """
     n = _check_allocation(system, n)
     weights = _information_pinv(system, n)[:, 0]
-    counts = n[system.group_indices]
-    sampled = counts != 0.0
+    sampled = system.usable & (n != 0.0)
     w_k = system.information[sampled] @ weights
     # w_k vanishes outside group k, so the truth enters by group blocks only
     truth = true_store.matrices[system.output - 1]
-    return float(np.einsum("k,ki,ij,kj->", counts[sampled], w_k, truth, w_k))
+    return float(np.einsum("k,ki,ij,kj->", n[sampled], w_k, truth, w_k))
 
 
 def combine_samples(system: BlueSystem, n, sums: dict) -> np.ndarray:
@@ -272,17 +273,16 @@ def combine_samples(system: BlueSystem, n, sums: dict) -> np.ndarray:
     if np.abs(n - counts).max(initial=0.0) > 1e-9:
         raise ValueError("combine_samples needs an integer allocation")
     rhs = 0.0
-    # one pass per sampled group: the group sizes differ
-    for j in np.flatnonzero(counts[system.group_indices]):
-        k = int(system.group_indices[j])
-        members = system.members[j]
+    # one pass per sampled usable group: the group sizes differ
+    for k in np.flatnonzero(system.usable & (counts != 0.0)):
+        members = system.members[k]
         block = np.asarray(sums[k], dtype=float)
         if block.shape[-1:] != (members.sum(),):
             raise ValueError(f"group {k} sums have shape {block.shape}, "
                              f"expected {members.sum()} columns")
         if not np.isfinite(block).all():
             raise ValueError(f"group {k} samples are not finite")
-        rhs = rhs + block @ system.information[j][members]
+        rhs = rhs + block @ system.information[k][members]
     return rhs @ _information_pinv(system, counts)
 
 

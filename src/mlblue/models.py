@@ -14,6 +14,7 @@ computed from.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ __all__ = [
     "GroupSet",
     "enumerate_groups",
 ]
+
+# most groups an enumeration may have: the allocation SDP's dense Schur
+# matrix alone is (groups, groups), 32 GiB of doubles at 2^16 groups
+_MAX_GROUPS = 2**16
 
 
 @dataclass(frozen=True)
@@ -116,12 +121,17 @@ def enumerate_groups(models: ModelSet, kappa=None, deny_list=()) -> GroupSet:
     ordered by size then lexicographically. A group is allowed for an output
     only if every member produces it. Raises if some output ends up with no
     allowed group containing model 1, since no unbiased estimator anchored
-    on model 1 would exist for it.
+    on model 1 would exist for it, and before enumerating if the groups,
+    counted before the deny list, would be more than ``_MAX_GROUPS``.
     """
     n = models.num_models
     kappa = n if kappa is None else int(kappa)
     if not 1 <= kappa <= n:
         raise ValueError(f"kappa must be in 1..{n}, got {kappa}")
+    count = sum(math.comb(n, size) for size in range(1, kappa + 1))
+    if count > _MAX_GROUPS:
+        raise ValueError(f"{n} models with kappa {kappa} give {count} groups, "
+                         f"more than the {_MAX_GROUPS} allowed")
     denied = {tuple(sorted(int(i) for i in g)) for g in deny_list}
     groups = []
     for size in range(1, kappa + 1):

@@ -14,10 +14,10 @@ keeps the Schur complement symmetric positive definite, so each iteration
 is one Cholesky factorization of it plus small dense eigen/SVD work per
 block. The NT scaling of a block reuses the Cholesky factors of S and Z
 that the step search (or the starting point) computed when it accepted
-them. Each block's coefficients are lifted once per solve to all d
-variables, with zeros for those it does not use, so each of its maps is one
-product over all of x and nothing is gathered or scattered; x >= 0 enters
-every product as -I and the Schur complement as a diagonal.
+them. A block holds one coefficient matrix per variable, zero for those it
+does not use, so each of its maps is one product over all of x and nothing
+is gathered or scattered; x >= 0 enters every product as -I and the Schur
+complement as a diagonal.
 
 The method starts infeasible (identity-scaled cone points) and drives
 primal residual, dual residual, and duality gap below the configured
@@ -144,30 +144,24 @@ def _tril_inv(low):
 
 @dataclass(frozen=True)
 class PsdBlock:
-    """Affine matrix map constant + sum_j coefficients[j] * x[var_indices[j]].
+    """Affine matrix map constant + sum_i coefficients[i] * x[i].
 
-    The map's value is constrained to the PSD cone. Coefficients must be
-    finite and symmetric; only the variables actually appearing in the block
-    are listed.
+    The map's value is constrained to the PSD cone. There is one finite,
+    symmetric coefficient matrix per variable, the zero matrix for a
+    variable the block does not use.
     """
 
     constant: np.ndarray  # (p, p)
-    var_indices: np.ndarray  # (k,) int
-    coefficients: np.ndarray  # (k, p, p), symmetrized
+    coefficients: np.ndarray  # (d, p, p), symmetrized
 
-    def __init__(self, constant, var_indices, coefficients):
+    def __init__(self, constant, coefficients):
         constant = np.asarray(constant, dtype=float)
-        var_indices = np.asarray(var_indices, dtype=int)
         coefficients = np.asarray(coefficients, dtype=float)
         p = constant.shape[0]
         if constant.shape != (p, p):
             raise ValueError("block constant must be square")
         if coefficients.ndim != 3 or coefficients.shape[1:] != (p, p):
-            raise ValueError("coefficients must be (k, p, p)")
-        if var_indices.shape != (coefficients.shape[0],):
-            raise ValueError("one variable index per coefficient matrix")
-        if len(set(var_indices.tolist())) != var_indices.size:
-            raise ValueError("repeated variable index in block")
+            raise ValueError("coefficients must be (d, p, p)")
         # before the symmetry test, where inf - inf would warn
         stack = _finite(np.concatenate([constant[None], coefficients], axis=0))
         asym = np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0)
@@ -175,7 +169,6 @@ class PsdBlock:
             raise ValueError("block matrices must be symmetric")
         coefficients = 0.5 * (coefficients + coefficients.transpose(0, 2, 1))
         object.__setattr__(self, "constant", _sym(constant))
-        object.__setattr__(self, "var_indices", var_indices)
         object.__setattr__(self, "coefficients", coefficients)
 
     @property
@@ -197,10 +190,8 @@ class SdpProblem:
         d = objective.size
         blocks = tuple(blocks)
         for b in blocks:
-            if b.var_indices.size and (
-                b.var_indices.min() < 0 or b.var_indices.max() >= d
-            ):
-                raise ValueError("block variable index out of range")
+            if b.coefficients.shape[0] != d:
+                raise ValueError("a block needs one coefficient matrix per variable")
         if ineq_matrix is None:
             ineq_matrix = np.zeros((0, d))
             ineq_rhs = np.zeros(0)
@@ -275,30 +266,23 @@ def _factors(mats):
     return [np.linalg.cholesky(_finite(m)) for m in mats]
 
 
-def _lift(block, d):
-    """(d, p*p) matrix whose row i is F_i raveled, zero where i is unused."""
-    p = block.order
-    lifted = np.zeros((d, p * p))
-    lifted[block.var_indices] = block.coefficients.reshape(-1, p * p)
-    return lifted
-
-
 def _apply(flat, x, shape):
-    """A_b(x) = sum_i x_i F_i of a lifted block, as a matrix of the given shape."""
+    """A_b(x) = sum_i x_i F_i of a block's (d, p*p) coefficients, as a matrix
+    of the given shape."""
     return (x @ flat).reshape(shape)
 
 
-def _adjoint(lifted, ineq, base, mats, lp_vec):
+def _adjoint(flats, ineq, base, mats, lp_vec):
     """base + sum_b A_b*(mats[b]) - [G; -I]' lp_vec, x >= 0 last in lp_vec."""
     out = base.copy()
-    for flat, m in zip(lifted, mats):
+    for flat, m in zip(flats, mats):
         out += flat @ m.ravel()
     out -= ineq.T @ lp_vec[: ineq.shape[0]]
     out += lp_vec[ineq.shape[0]:]
     return out
 
 
-def _schur_matrix(lifted, winvs, ineq, w_lp):
+def _schur_matrix(flats, winvs, ineq, w_lp):
     """M = sum_b [tr(F_i W_b F_j W_b)]_ij + [G; -I]' diag(w_lp) [G; -I].
 
     One product per block. Merging the blocks into one larger product was
@@ -307,7 +291,7 @@ def _schur_matrix(lifted, winvs, ineq, w_lp):
     """
     m_ineq = ineq.shape[0]  # x >= 0 adds the diagonal w_lp[m_ineq:]
     m = (ineq * w_lp[:m_ineq, None]).T @ ineq + np.diag(w_lp[m_ineq:])
-    for flat, winv in zip(lifted, winvs):
+    for flat, winv in zip(flats, winvs):
         t = np.matmul(winv, np.matmul(flat.reshape(-1, *winv.shape), winv))
         m += flat @ t.reshape(flat.shape).T
     return m
@@ -320,7 +304,9 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     Returns the best iterate found. status is 'optimal' when primal/dual
     residuals are below feas_tol and the relative duality gap is below
     gap_tol; 'infeasible' when an approximate Farkas certificate appears;
-    'max_iter' otherwise.
+    'max_iter' otherwise. The starting point is sized from the largest
+    Frobenius norm among each block's coefficients, which is 0 for a block
+    whose coefficients are all zero.
     """
     cfg = settings or SdpSettings()
     blocks = problem.blocks
@@ -331,7 +317,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     lp_rhs = np.concatenate([problem.ineq_rhs, np.zeros(d)])
     cone_dim = sum(b.order for b in blocks) + lp_rhs.size
     constants = [b.constant for b in blocks]
-    lifted = [_lift(b, d) for b in blocks]
+    # row i of a block's (d, p*p) flat form is F_i raveled
+    flats = [b.coefficients.reshape(d, -1) for b in blocks]
 
     # identity-scaled starting point, sized from the data norms
     x = np.zeros(d)
@@ -339,9 +326,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     for blk in blocks:
         p = blk.order
         n_const = np.linalg.norm(blk.constant)
-        n_coeff = max(
-            [np.linalg.norm(c) for c in blk.coefficients], default=1.0
-        )
+        n_coeff = max(np.linalg.norm(c) for c in blk.coefficients)
         s_scale = max(10.0, np.sqrt(p), n_const, n_coeff)
         z_scale = max(
             10.0, np.sqrt(p), np.sqrt(p) * (1.0 + np.abs(b_vec).max()) / (1.0 + n_coeff)
@@ -364,8 +349,8 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
     status = "max_iter"
     for it in range(cfg.max_iter + 1):
         # residuals of the current iterate
-        rp = _adjoint(lifted, ineq, b_vec, Z, z_lp)
-        rd_blocks = [c + _apply(flat, x, c.shape) - sb for c, flat, sb in zip(constants, lifted, S)]
+        rp = _adjoint(flats, ineq, b_vec, Z, z_lp)
+        rd_blocks = [c + _apply(flat, x, c.shape) - sb for c, flat, sb in zip(constants, flats, S)]
         rd_lp = lp_rhs - s_lp - np.concatenate([ineq @ x, -x])
 
         gap = _inner(Z, z_lp, S, s_lp)
@@ -408,7 +393,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             break  # cone point lost definiteness beyond repair; report best
 
         w_lp = z_lp / s_lp
-        M = _schur_matrix(lifted, Winv_list, ineq, w_lp)
+        M = _schur_matrix(flats, Winv_list, ineq, w_lp)
         # per block: Winv Rd Winv, reused in both rhs passes
         winv_rd = [winv @ rd @ winv for winv, rd in zip(Winv_list, rd_blocks)]
         # invert the Cholesky factor of M (plus ridge) once, so that each
@@ -438,7 +423,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         def solve_direction(ecc_blocks, ecc_lp):
             """Newton step from scaled-space complementarity targets."""
             rhs = _adjoint(
-                lifted, ineq, rp,
+                flats, ineq, rp,
                 [ecc - wrd for ecc, wrd in zip(ecc_blocks, winv_rd)],
                 ecc_lp - w_lp * rd_lp,
             )
@@ -446,7 +431,7 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
             # residual near convergence and the iteration stalls above feas_tol
             dx = m_solve(rhs, 2)
             ds_blocks, dz_blocks = [], []
-            for flat, ecc, winv, rd in zip(lifted, ecc_blocks, Winv_list, rd_blocks):
+            for flat, ecc, winv, rd in zip(flats, ecc_blocks, Winv_list, rd_blocks):
                 dsb = rd + _apply(flat, dx, rd.shape)
                 ds_blocks.append(_sym(dsb))
                 dz_blocks.append(_sym(ecc - winv @ dsb @ winv))
@@ -494,11 +479,11 @@ def solve_sdp(problem: SdpProblem, settings: SdpSettings | None = None) -> SdpSo
         # cS = A(cx), cZ = -Winv cS Winv cancels in the scaled
         # complementarity equation, so only the primal equation moves.
         for _ in range(2):
-            defect = _adjoint(lifted, ineq, rp, dz_blocks, dz_lp)
+            defect = _adjoint(flats, ineq, rp, dz_blocks, dz_lp)
             if np.linalg.norm(defect) <= 1e-15 * norm_b:
                 break
             cx = m_solve(defect, 1)
-            for i, (flat, winv) in enumerate(zip(lifted, Winv_list)):
+            for i, (flat, winv) in enumerate(zip(flats, Winv_list)):
                 csb = _sym(_apply(flat, cx, winv.shape))
                 ds_blocks[i] = ds_blocks[i] + csb
                 dz_blocks[i] = dz_blocks[i] - _sym(winv @ csb @ winv)

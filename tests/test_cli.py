@@ -64,6 +64,31 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def module_env():
+    """The environment of a ``python -m mlblue`` run on this checkout."""
+    src = str(Path(mlblue.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("flag", ["--config", "--output"])
+def test_directory_path_exits_2(tmp_path, flag):
+    # opening a directory raises IsADirectoryError, not FileNotFoundError;
+    # run as a process, so that a traceback would show on stderr
+    paths = {"--config": budget_config(tmp_path), "--output": str(tmp_path / "out.json")}
+    paths[flag] = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlblue", "allocate", "--config", paths["--config"],
+         "--output", paths["--output"]],
+        capture_output=True, text=True, env=module_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert repr(str(tmp_path)) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_config_refused_by_allocate(tmp_path, capsys):
     path = budget_config(tmp_path,
                          mode={"type": "pareto", "sweep": [1.0, 0.1]})
@@ -639,15 +664,10 @@ def test_benchmark_needs_tolerance_mode(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
-    src = str(Path(mlblue.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "mlblue", "allocate",
          "--config", budget_config(tmp_path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=module_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mode"] == "budget"
@@ -666,13 +686,9 @@ def test_pareto_answers_do_not_depend_on_the_blas_thread_count(tmp_path):
         "groups": {"kappa": 3},
         "mode": {"type": "pareto", "sweep": np.logspace(-7, 4, 12).tolist()},
     })
-    src = str(Path(mlblue.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = dict(module_env(), OPENBLAS_NUM_THREADS=threads)
         dest = tmp_path / f"frontier-{threads}.json"
         subprocess.run(
             [sys.executable, "-m", "mlblue", "pareto", "--config", config,

@@ -4,10 +4,15 @@ The tool is a script, not a module of the program, so it is loaded by path.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mlblue.config import parse_problem
+from mlblue.estimator import usable_groups
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli.py"
 
@@ -73,3 +78,14 @@ def test_skipped_members_leave_the_answers_difference():
         pytest.approx(0.002 / 2000.002), "/points/1/total_cost/")
     # a skipped member still has to exist on both sides
     assert max_rel_diff(tree, TREE, skip={"solver"}) == (math.inf, "/")
+
+
+@pytest.mark.parametrize("seed", compare_cli.SEEDS)
+def test_fixed_configs_have_groups_some_output_cannot_use(seed):
+    # the benchmark's configs do not, so these are the tool's only view of
+    # how such groups are handled
+    for name, config, _ in compare_cli.fixed_configs(seed):
+        cfg = parse_problem(json.loads(json.dumps(config)))
+        usable = [usable_groups(cfg.groups, cfg.store, s)
+                  for s in range(1, cfg.num_outputs + 1)]
+        assert not np.all(usable), name

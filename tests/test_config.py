@@ -56,8 +56,16 @@ def test_null_entry_denies_group():
     assert cfg.store.known_groups(rows).tolist() == [False, True, True]
     # the group survives enumeration but no estimator term uses it
     system = BlueSystem.from_covariance(cfg.groups, cfg.store)
-    used = [cfg.groups.groups[k] for k in system.group_indices]
+    used = [cfg.groups.groups[k] for k in np.flatnonzero(system.usable)]
     assert (1, 3) not in used and (1, 2, 3) not in used
+
+
+def test_too_many_groups_is_a_groups_error():
+    raw = minimal()
+    raw["models"]["costs"] = [1.0] * 30
+    raw["covariance"]["matrices"] = np.eye(30).tolist()
+    with pytest.raises(ConfigError, match="/groups: 30 models with kappa 30 give"):
+        parse_problem(raw)
 
 
 def test_asymmetric_null_mask_rejected():

@@ -267,7 +267,7 @@ def test_system_skips_unknown_groups():
     known[0, 2] = known[2, 0] = False
     store = CovarianceStore(np.eye(3)[None], known=known[None])
     system = BlueSystem.from_covariance(gs, store)
-    usable = [gs.groups[k] for k in system.group_indices]
+    usable = [gs.groups[k] for k in np.flatnonzero(system.usable)]
     assert (1, 3) not in usable
     assert (1, 2) in usable and (2, 3) in usable
     rows = np.array([[True, True, False], [True, False, True]])
@@ -278,8 +278,9 @@ def test_system_skips_unknown_groups():
 
 
 def _group_by_group_stacks(groups, store, output):
-    """The stacks as built one group at a time, each block repaired, inverted
-    through its Cholesky factor and lifted on its own."""
+    """(usable, members, information, lifted) as built one group at a time,
+    each usable block repaired, inverted through its Cholesky factor and
+    lifted on its own; every other group's blocks stay zero."""
     def repair(matrix, floor=1e-10):
         sym = 0.5 * (matrix + matrix.T)
         eigvals, eigvecs = np.linalg.eigh(sym)
@@ -294,23 +295,25 @@ def _group_by_group_stacks(groups, store, output):
         return store.known[output - 1][np.ix_(idx, idx)].all()
 
     allowed = groups.per_output_allowed[output - 1]
-    usable = [k for k, group in enumerate(groups.groups)
-              if allowed[k] and known(group)]
     size = groups.num_models
-    members = np.zeros((len(usable), size), dtype=bool)
-    information = np.zeros((len(usable), size, size))
-    lifted = np.zeros((len(usable), size, size))
-    for j, k in enumerate(usable):
-        idx = np.asarray(groups.groups[k]) - 1
+    usable = np.zeros(groups.num_groups, dtype=bool)
+    members = np.zeros((groups.num_groups, size), dtype=bool)
+    information = np.zeros((groups.num_groups, size, size))
+    lifted = np.zeros((groups.num_groups, size, size))
+    for k, group in enumerate(groups.groups):
+        idx = np.asarray(group) - 1
+        members[k, idx] = True
+        if not (allowed[k] and known(group)):
+            continue
+        usable[k] = True
         cov = repair(store.matrices[output - 1][np.ix_(idx, idx)])
         linv = np.linalg.inv(np.linalg.cholesky(cov))
         inv = linv.T @ linv
         w, v = np.linalg.eigh(cov)
         lift = (v / np.maximum(w, 1e-6 * w[-1])) @ v.T
-        members[j, idx] = True
-        information[j, idx[:, None], idx] = 0.5 * (inv + inv.T)
-        lifted[j, idx[:, None], idx] = 0.5 * (lift + lift.T)
-    return np.array(usable, dtype=int), members, information, lifted
+        information[k, idx[:, None], idx] = 0.5 * (inv + inv.T)
+        lifted[k, idx[:, None], idx] = 0.5 * (lift + lift.T)
+    return usable, members, information, lifted
 
 
 def _near_collinear(rho):
@@ -353,7 +356,7 @@ def test_stacks_bit_identical_to_group_by_group_build(case):
     for s in range(1, store.num_outputs + 1):
         system = BlueSystem.from_covariance(gs, store, output=s)
         expect = _group_by_group_stacks(gs, store, s)
-        got = (system.group_indices, system.members, system.information,
+        got = (system.usable, system.members, system.information,
                system.lifted)
         for a, b in zip(got, expect):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -370,8 +373,8 @@ def test_stacks_match_dense_group_reference():
     system = BlueSystem.from_covariance(gs, store)
     usable = [k for k, g in enumerate(gs.groups) if not {2, 4} <= set(g)]
     assert len(usable) < gs.num_groups
-    assert system.group_indices.tolist() == usable
-    for stack in (system.group_indices, system.members, system.information,
+    assert np.flatnonzero(system.usable).tolist() == usable
+    for stack in (system.usable, system.members, system.information,
                   system.lifted):
         assert not stack.flags.writeable
 
@@ -404,6 +407,40 @@ def test_stacks_match_dense_group_reference():
     assert rel(combine_samples(system, n, sums), psi_inv @ rhs) <= 1e-12
     got = realized_variance(system, n, CovarianceStore(truth[None]))
     assert got == pytest.approx(realized, rel=1e-12)
+
+
+def _unusable_groups():
+    # model 3 misses output 2, and the pair (1, 4) is unknown on both outputs
+    b = np.random.default_rng(7).standard_normal((2, 4, 6))
+    known = np.ones((2, 4, 4), dtype=bool)
+    known[:, 0, 3] = known[:, 3, 0] = False
+    models = ModelSet([8.0, 4.0, 2.0, 1.0], outputs=[[1, 2], [1, 2], [1], [1, 2]])
+    return enumerate_groups(models), CovarianceStore(b @ b.transpose(0, 2, 1),
+                                                     known=known)
+
+
+def test_blocks_of_unusable_groups_are_zero():
+    gs, store = _unusable_groups()
+    for s in (1, 2):
+        system = BlueSystem.from_covariance(gs, store, output=s)
+        assert system.members is gs.members
+        assert system.information.shape == (gs.num_groups, 4, 4)
+        assert system.lifted.shape == (gs.num_groups, 4, 4)
+        unusable = np.flatnonzero(~system.usable)
+        assert unusable.size and system.usable.any()
+        for k in unusable:
+            assert not system.information[k].any() and not system.lifted[k].any()
+
+
+def test_counts_on_unusable_groups_leave_psi_unchanged():
+    gs, store = _unusable_groups()
+    rng = np.random.default_rng(8)
+    for s in (1, 2):
+        system = BlueSystem.from_covariance(gs, store, output=s)
+        n = rng.integers(0, 5, gs.num_groups).astype(float)
+        moved = n.copy()
+        moved[~system.usable] = rng.uniform(1.0, 100.0, (~system.usable).sum())
+        assert np.array_equal(assemble_psi(system, moved), assemble_psi(system, n))
 
 
 def test_realized_variance_with_misjudged_covariance():
@@ -451,11 +488,11 @@ def test_lifted_inverse_bounded_near_perfect_correlation():
     rho = 1.0 - 1e-10
     cov = [[1.0, rho], [rho, 1.0]]
     gs, system = system_for([1.0, 0.5], cov)
-    (j,) = np.flatnonzero(system.group_indices == gs.groups.index((1, 2)))
+    k = gs.groups.index((1, 2))
     lam_max = np.linalg.eigvalsh(cov)[-1]
     # the lifted spectrum's floor is 1e-6 * lam_max; allow for rounding only
-    assert np.linalg.norm(system.lifted[j], 2) <= 1e6 / lam_max * (1.0 + 1e-9)
-    assert np.linalg.norm(system.information[j], 2) > 1e9 / lam_max
+    assert np.linalg.norm(system.lifted[k], 2) <= 1e6 / lam_max * (1.0 + 1e-9)
+    assert np.linalg.norm(system.information[k], 2) > 1e9 / lam_max
 
 
 def random_group_blocks(rng, dim, kind):
@@ -488,8 +525,7 @@ def test_batch_variance_bounds_the_scalar_rule(kind):
         blocks = random_group_blocks(rng, dim, kind)
         members = np.abs(blocks).sum(axis=1) > 0
         system = BlueSystem(
-            num_models=dim, num_groups=len(blocks), output=1,
-            group_indices=np.arange(len(blocks)), members=members,
+            output=1, usable=np.ones(len(blocks), dtype=bool), members=members,
             information=blocks, lifted=blocks, highfi_variance=1.0,
             anchor_mask=members[:, 0])
         counts = rng.integers(0, 4, (rng.integers(1, 9), len(blocks))).astype(float)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mlblue import models as models_module
 from mlblue.models import (
     GroupSet,
     ModelSet,
@@ -36,6 +37,26 @@ def test_group_counts_match_binomial_sums():
         assert gs.num_groups == expect
     assert enumerate_groups(ModelSet(np.ones(12)), kappa=3).num_groups == 298
     assert enumerate_groups(ModelSet(np.ones(12)), kappa=5).num_groups == 1585
+
+
+def test_group_count_is_bounded_before_enumerating():
+    # 30 models without kappa would be 2^30 - 1 tuples; the count is refused
+    # from the binomial sum alone
+    with pytest.raises(ValueError, match="30 models with kappa 30 give "
+                                         "1073741823 groups, more than the 65536"):
+        enumerate_groups(ModelSet(np.ones(30)))
+    # 17 models: sizes up to 8 give 2^16 - 1 groups, up to 9 give 89845
+    assert enumerate_groups(ModelSet(np.ones(17)), kappa=8).num_groups == 2**16 - 1
+    with pytest.raises(ValueError, match="89845 groups"):
+        enumerate_groups(ModelSet(np.ones(17)), kappa=9)
+
+
+def test_group_bound_admits_a_count_equal_to_it(monkeypatch):
+    monkeypatch.setattr(models_module, "_MAX_GROUPS", 7)
+    assert enumerate_groups(ModelSet(np.ones(3))).num_groups == 7
+    # counted before the deny list removes any
+    with pytest.raises(ValueError, match="4 models with kappa 2 give 10 groups"):
+        enumerate_groups(ModelSet(np.ones(4)), kappa=2, deny_list=[(1, 2), (3, 4)])
 
 
 def test_ordering_is_size_then_lexicographic():

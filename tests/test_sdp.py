@@ -12,7 +12,6 @@ from mlblue.sdp import (
     _adjoint,
     _apply,
     _blas_thread_functions,
-    _lift,
     _schur_matrix,
     _tril_inv,
     solve_sdp,
@@ -28,7 +27,7 @@ def corner_problem():
     coeff[0, 1, 1] = 1.0
     return SdpProblem(
         objective=np.array([1.0]),
-        blocks=(PsdBlock(f0, np.array([0]), coeff),),
+        blocks=(PsdBlock(f0, coeff),),
     )
 
 
@@ -45,7 +44,7 @@ def test_diagonal_block_lp():
     coeff = np.eye(2)[None]
     prob = SdpProblem(
         objective=np.array([1.0]),
-        blocks=(PsdBlock(f0, np.array([0]), coeff),),
+        blocks=(PsdBlock(f0, coeff),),
     )
     sol = solve_sdp(prob)
     assert sol.status == "optimal"
@@ -97,7 +96,7 @@ def test_diagonal_sdp_matches_simplex_oracle():
             coeff[i][np.diag_indices(nrow)] = -g_mat[:, i]
         prob = SdpProblem(
             objective=q,
-            blocks=(PsdBlock(np.diag(g_rhs), np.arange(nvar), coeff),),
+            blocks=(PsdBlock(np.diag(g_rhs), coeff),),
         )
         sol = solve_sdp(prob)
         ref = linprog(q, A_ub=g_mat, b_ub=g_rhs, bounds=(0, None))
@@ -208,7 +207,7 @@ def test_non_finite_data_raises():
     bad_const[0, 0] = np.inf
     for constant, coefficients in ((f0, bad_coeff), (bad_const, coeff)):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            PsdBlock(constant, [0], coefficients)
+            PsdBlock(constant, coefficients)
     nan_row = SdpProblem(np.array([1.0]), ineq_matrix=[[np.nan]], ineq_rhs=[1.0])
     for prob in (nan_objective_problem(), nan_row):
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -258,40 +257,42 @@ def test_symmetry_validation_rejects_bad_blocks():
     with pytest.raises(ValueError):
         SdpProblem(
             objective=np.array([1.0]),
-            blocks=(PsdBlock(f0, np.array([0]), np.zeros((1, 2, 2))),),
+            blocks=(PsdBlock(f0, np.zeros((1, 2, 2))),),
         )
 
 
 def random_block(rng, p=5, num_vars=7, k=4, var_indices=None):
+    """A block over ``num_vars`` variables with random symmetric
+    coefficients on ``var_indices`` (k of them, drawn when not given) and
+    zero coefficients elsewhere."""
     const = rng.standard_normal((p, p))
     coeffs = rng.standard_normal((k, p, p))
     if var_indices is None:
         var_indices = rng.choice(num_vars, size=k, replace=False)
-    return PsdBlock(
-        const + const.T, var_indices, coeffs + coeffs.transpose(0, 2, 1)
-    )
+    dense = np.zeros((num_vars, p, p))
+    dense[np.asarray(var_indices, dtype=int)] = coeffs + coeffs.transpose(0, 2, 1)
+    return PsdBlock(const + const.T, dense)
 
 
-def dense_coefficients(blk, d):
-    """F_i for every variable i < d, the zero matrix where blk has none."""
-    p = blk.order
-    dense = [np.zeros((p, p)) for _ in range(d)]
-    for j, f in zip(blk.var_indices, blk.coefficients):
-        dense[j] = f
-    return dense
+def flat(blk):
+    """The (d, p*p) form the solver reads: row i is F_i raveled."""
+    return blk.coefficients.reshape(blk.coefficients.shape[0], blk.order**2)
 
 
-def block_schur(blk, d, winv):
+def block_schur(blk, winv):
     """The solver's Schur term of one block alone, with no LP weight."""
-    return _schur_matrix([_lift(blk, d)], [winv], np.zeros((0, d)), np.zeros(d))
+    d = blk.coefficients.shape[0]
+    return _schur_matrix([flat(blk)], [winv], np.zeros((0, d)), np.zeros(d))
 
 
-def block_adjoint(blk, d, z):
+def block_adjoint(blk, z):
     """The solver's adjoint of one block alone, with no LP part."""
-    return _adjoint([_lift(blk, d)], np.zeros((0, d)), np.zeros(d), [z], np.zeros(d))
+    d = blk.coefficients.shape[0]
+    return _adjoint([flat(blk)], np.zeros((0, d)), np.zeros(d), [z], np.zeros(d))
 
 
-# (order, variables) of the tested blocks; k = 0 is a block with no variable
+# (order, variables) of the tested blocks; k = 0 is a block whose
+# coefficients are all zero
 BLOCK_SHAPES = ((5, 4), (1, 1), (3, 0))
 
 
@@ -306,14 +307,13 @@ def check_block_map_and_adjoint(rng, p, k):
     x = rng.standard_normal(7)
     z = rng.standard_normal((p, p))
     z = z + z.T
-    dense = sum((x[v] * f for v, f in zip(blk.var_indices, blk.coefficients)),
-                np.zeros((p, p)))
-    applied = _apply(_lift(blk, 7), x, (p, p))
+    dense = sum((x_i * f for x_i, f in zip(x, blk.coefficients)), np.zeros((p, p)))
+    applied = _apply(flat(blk), x, (p, p))
     assert np.allclose(applied, dense, rtol=1e-13, atol=1e-13)
-    adj = block_adjoint(blk, 7, z)
+    adj = block_adjoint(blk, z)
     # <A(x), Z> = x' A*(Z)
     assert np.sum(applied * z) == pytest.approx(x @ adj, rel=1e-12)
-    for j, f in enumerate(dense_coefficients(blk, 7)):
+    for j, f in enumerate(blk.coefficients):
         assert adj[j] == pytest.approx(np.trace(f @ z), rel=1e-12)
 
 
@@ -327,9 +327,9 @@ def check_block_schur_term(rng, p, k):
     blk = random_block(rng, p=p, k=k)
     a = rng.standard_normal((p, 7))
     w = a @ a.T
-    dense = dense_coefficients(blk, 7)
+    dense = blk.coefficients
     ref = np.array([[np.trace(fi @ w @ fj @ w) for fj in dense] for fi in dense])
-    got = block_schur(blk, 7, w)
+    got = block_schur(blk, w)
     assert got.shape == (7, 7)
     assert np.allclose(got, ref, rtol=1e-12,
                        atol=1e-12 * np.abs(ref).max(initial=0.0))
@@ -337,14 +337,12 @@ def check_block_schur_term(rng, p, k):
 
 @pytest.mark.parametrize("p, k", BLOCK_SHAPES)
 def test_block_maps_equal_tensordot_forms(p, k):
-    # a block over variables 0..d-1 in order lifts to its own coefficient
-    # matrix, so the lifted products must give the bits of the tensordot
-    # forms the block maps were first written with; the solver's answers
-    # depend on them
+    # a block's flat form is its own coefficient stack, so the flat
+    # products must give the bits of the tensordot forms the block maps
+    # were first written with; the solver's answers depend on them
     rng = np.random.default_rng(43)
-    blk = random_block(rng, p=p, k=k, var_indices=np.arange(k))
+    blk = random_block(rng, p=p, num_vars=k, k=k, var_indices=np.arange(k))
     coeffs = blk.coefficients
-    lifted = _lift(blk, k)
     x = rng.standard_normal(k)
     z = rng.standard_normal((p, p))
     z = z + z.T
@@ -352,11 +350,11 @@ def test_block_maps_equal_tensordot_forms(p, k):
     winv = a @ a.T
     t = np.matmul(winv, np.matmul(coeffs, winv))
     assert np.array_equal(
-        _apply(lifted, x, (p, p)), np.tensordot(x, coeffs, axes=(0, 0)))
+        _apply(flat(blk), x, (p, p)), np.tensordot(x, coeffs, axes=(0, 0)))
     assert np.array_equal(
-        block_adjoint(blk, k, z), np.tensordot(coeffs, z, axes=([1, 2], [0, 1])))
+        block_adjoint(blk, z), np.tensordot(coeffs, z, axes=([1, 2], [0, 1])))
     assert np.array_equal(
-        block_schur(blk, k, winv), np.tensordot(coeffs, t, axes=([1, 2], [1, 2])))
+        block_schur(blk, winv), np.tensordot(coeffs, t, axes=([1, 2], [1, 2])))
 
 
 def test_schur_matrix_and_adjoint_match_dense_reference_and_lp_rows():
@@ -364,21 +362,21 @@ def test_schur_matrix_and_adjoint_match_dense_reference_and_lp_rows():
     # two inequality rows; x >= 0 enters as a diagonal, not as rows of -I
     rng = np.random.default_rng(44)
     d = 7
-    blocks = [random_block(rng, p=4, k=3, var_indices=[5, 0, 2]),
-              random_block(rng, p=3, k=4, var_indices=[1, 2, 6, 3]),
-              random_block(rng, p=2, k=0)]
+    used = [np.array([5, 0, 2]), np.array([1, 2, 6, 3]), np.array([], dtype=int)]
+    blocks = [random_block(rng, p=p, k=idx.size, var_indices=idx)
+              for p, idx in zip((4, 3, 2), used)]
     winvs = []
     for blk in blocks:
         a = rng.standard_normal((blk.order, blk.order + 3))
         winvs.append(a @ a.T)
     ineq = rng.standard_normal((2, d))
     w_ineq, w_x = rng.uniform(0.1, 2.0, 2), rng.uniform(0.1, 2.0, d)
-    lifted = [_lift(b, d) for b in blocks]
-    got = _schur_matrix(lifted, winvs, ineq, np.concatenate([w_ineq, w_x]))
+    flats = [flat(b) for b in blocks]
+    got = _schur_matrix(flats, winvs, ineq, np.concatenate([w_ineq, w_x]))
 
     ref = ineq.T @ np.diag(w_ineq) @ ineq + np.diag(w_x)
     for blk, w in zip(blocks, winvs):
-        dense = dense_coefficients(blk, d)
+        dense = blk.coefficients
         ref += np.array([[np.trace(fi @ w @ fj @ w) for fj in dense]
                          for fi in dense])
     # the form the solver used to assemble: a Gram product over the stacked
@@ -386,11 +384,10 @@ def test_schur_matrix_and_adjoint_match_dense_reference_and_lp_rows():
     lp_rows = np.vstack([ineq, -np.eye(d)])
     w_lp = np.concatenate([w_ineq, w_x])
     gram = (lp_rows * w_lp[:, None]).T @ lp_rows
-    for blk, w in zip(blocks, winvs):
-        idx = blk.var_indices
-        t = np.matmul(w, np.matmul(blk.coefficients, w))
-        gram[np.ix_(idx, idx)] += np.tensordot(
-            blk.coefficients, t, axes=([1, 2], [1, 2]))
+    for blk, w, idx in zip(blocks, winvs, used):
+        own = blk.coefficients[idx]
+        t = np.matmul(w, np.matmul(own, w))
+        gram[np.ix_(idx, idx)] += np.tensordot(own, t, axes=([1, 2], [1, 2]))
     for other in (ref, gram):
         assert np.abs(got - other).max() <= 1e-12 * np.abs(other).max()
 
@@ -401,24 +398,20 @@ def test_schur_matrix_and_adjoint_match_dense_reference_and_lp_rows():
     lp_vec = rng.standard_normal(2 + d)
     adj_ref = base - lp_rows.T @ lp_vec
     for blk, z in zip(blocks, zs):
-        for i, f in enumerate(dense_coefficients(blk, d)):
+        for i, f in enumerate(blk.coefficients):
             adj_ref[i] += np.trace(f @ z)
-    adj = _adjoint(lifted, ineq, base, zs, lp_vec)
+    adj = _adjoint(flats, ineq, base, zs, lp_vec)
     assert np.abs(adj - adj_ref).max() <= 1e-12 * np.abs(adj_ref).max()
 
 
 SDP_REJECTIONS = {
-    "constant-not-square": (lambda: PsdBlock(np.zeros((2, 3)), [0], np.zeros((1, 2, 2))),
+    "constant-not-square": (lambda: PsdBlock(np.zeros((2, 3)), np.zeros((1, 2, 2))),
                             "block constant must be square"),
-    "coefficients-shape": (lambda: PsdBlock(np.eye(2), [0], np.zeros((1, 3, 3))),
-                           "coefficients must be (k, p, p)"),
-    "index-count": (lambda: PsdBlock(np.eye(2), [0, 1], np.zeros((1, 2, 2))),
-                    "one variable index per coefficient matrix"),
-    "index-repeated": (lambda: PsdBlock(np.eye(2), [0, 0], np.zeros((2, 2, 2))),
-                       "repeated variable index in block"),
+    "coefficients-shape": (lambda: PsdBlock(np.eye(2), np.zeros((1, 3, 3))),
+                           "coefficients must be (d, p, p)"),
     "objective-empty": (lambda: SdpProblem([]), "objective must be a nonempty vector"),
-    "index-range": (lambda: SdpProblem([1.0], [PsdBlock(np.eye(2), [1], np.zeros((1, 2, 2)))]),
-                    "block variable index out of range"),
+    "coefficient-count": (lambda: SdpProblem([1.0], [PsdBlock(np.eye(2), np.zeros((2, 2, 2)))]),
+                          "a block needs one coefficient matrix per variable"),
     "rhs-count": (lambda: SdpProblem([1.0, 1.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0, 2.0]),
                   "one rhs entry per inequality row"),
 }

@@ -3,7 +3,11 @@
     python3 tools/compare_cli.py PARENT_TREE CHANGE_TREE
 
 For seeds 1 and 2, the configs of every workload in ``perfbench/workloads.py``
-(the copy next to this script, imported read-only) are generated once. Each
+(the copy next to this script, imported read-only) are generated once. The
+benchmark's configs put every model on every output, so four fixed configs
+of this script's own add groups that some output cannot use: models that
+miss an output, an unknown (``null``) covariance pair, a deny list and a
+model cap; each runs through every subcommand its mode allows. Each
 operation then runs as ``python -m mlblue`` with each tree's ``src`` on
 PYTHONPATH, in a directory of its own with the same relative file names, so
 the two runs see identical arguments. One line per operation reports whether
@@ -32,6 +36,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -39,6 +45,62 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2)
 ESTIMATE_RTOL = 1e-12
+# replications of each ``estimate`` run on the fixed configs
+FIXED_REPS = 200
+
+
+def fixed_configs(seed):
+    """(name, config, subcommands) of the configs with unusable groups.
+
+    The loadings are the benchmark's hierarchy suite, whose strong
+    correlations make the low-fidelity groups worth sampling, plus 0.05
+    times its random suite at ``seed``; costs fall by a factor 4 per model.
+    """
+    def config(num_models, num_outputs, mode, outputs=None, **extra):
+        hierarchy = workloads.hierarchy_suite(num_models, num_outputs,
+                                              rate=2.0, strength=0.05)
+        loadings = 0.05 * workloads.random_suite(num_models, num_outputs, seed)
+        loadings[:, :, :-1] += hierarchy
+        models = {"costs": (4.0 ** np.arange(num_models - 1, -1, -1)).tolist(),
+                  "num_outputs": num_outputs}
+        if outputs is not None:
+            models["outputs"] = outputs
+        return {"models": models, "synthetic": {"loadings": loadings.tolist()},
+                "covariance": {"type": "synthetic"}, "mode": mode,
+                "seed": seed, **extra}
+
+    outputs = config(4, 2, {"type": "tolerance"},
+                     outputs=[[1, 2], [1, 2], [1], [2]])
+    v1 = workloads.oracle.covariances(outputs["synthetic"]["loadings"])[:, 0, 0]
+    outputs["mode"]["eps2"] = (v1 / 50.0).tolist()
+    null_pair = config(4, 1, {"type": "budget", "budget": 400.0})
+    matrix = workloads.oracle.covariances(null_pair["synthetic"]["loadings"])[0].tolist()
+    matrix[0][2] = matrix[2][0] = None
+    null_pair["covariance"] = {"type": "inline", "matrices": [matrix]}
+    deny = config(5, 2, {"type": "pareto", "tau_tilde": 1e-3},
+                  outputs=[[1, 2], [1, 2], [1, 2], [1], [2]],
+                  groups={"kappa": 3, "deny": [[1, 2], [2, 3, 4]]})
+    caps = config(4, 2, {"type": "budget", "budget": 600.0},
+                  outputs=[[1, 2], [1], [1, 2], [2]],
+                  constraints={"model_caps": [None, 40, 20, 30]})
+    return [("outputs-4x2", outputs, ("allocate", "benchmark", "estimate")),
+            ("null-pair-4x1", null_pair, ("allocate", "estimate")),
+            ("deny-5x2", deny, ("allocate", "estimate", "pareto")),
+            ("caps-4x2", caps, ("allocate", "estimate"))]
+
+
+def operations(seed):
+    """(name, subcommand, argv, config) of every operation at ``seed``."""
+    for workload in sorted(workloads.WORKLOADS):
+        for inst, config in workloads.generate(workload, seed):
+            yield (inst.name, inst.command,
+                   inst.argv("config.json", "out.json"), config)
+    for name, config, commands in fixed_configs(seed):
+        for command in commands:
+            argv = [command, "--config", "config.json", "--output", "out.json"]
+            if command == "estimate":
+                argv += ["--reps", str(FIXED_REPS)]
+            yield name, command, argv, config
 
 
 def max_rel_diff(a, b, path="/", skip=()):
@@ -94,34 +156,32 @@ def compare(parent, change):
     ok = True
     with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
         for seed in SEEDS:
-            for workload in sorted(workloads.WORKLOADS):
-                for inst, config in workloads.generate(workload, seed):
-                    argv = inst.argv("config.json", "out.json")
-                    runs = [run_tree(tree, argv, config,
-                                     Path(tmp) / f"{seed}-{inst.name}-{side}")
-                            for side, tree in (("parent", parent), ("change", change))]
-                    (rc_a, out_a, err_a, file_a), (rc_b, out_b, err_b, file_b) = runs
-                    diff = answers = (0.0, "/")
-                    if file_a != file_b:
-                        try:
-                            tree_a, tree_b = json.loads(file_a), json.loads(file_b)
-                        except (TypeError, ValueError):
-                            diff = answers = (math.inf, "unreadable output")
-                        else:
-                            diff = max_rel_diff(tree_a, tree_b)
-                            answers = max_rel_diff(tree_a, tree_b, skip={"solver"})
-                    console_same = out_a == out_b and err_a == err_b
-                    if inst.command == "estimate":
-                        output_ok = diff[0] <= ESTIMATE_RTOL
+            for name, command, argv, config in operations(seed):
+                runs = [run_tree(tree, argv, config,
+                                 Path(tmp) / f"{seed}-{name}-{command}-{side}")
+                        for side, tree in (("parent", parent), ("change", change))]
+                (rc_a, out_a, err_a, file_a), (rc_b, out_b, err_b, file_b) = runs
+                diff = answers = (0.0, "/")
+                if file_a != file_b:
+                    try:
+                        tree_a, tree_b = json.loads(file_a), json.loads(file_b)
+                    except (TypeError, ValueError):
+                        diff = answers = (math.inf, "unreadable output")
                     else:
-                        output_ok = file_a == file_b
-                    ok &= rc_a == rc_b and console_same and output_ok
-                    print(f"seed {seed} {inst.name:<14} {inst.command:<9} "
-                          f"output={'same' if file_a == file_b else 'DIFF'} "
-                          f"console={'same' if console_same else 'DIFF'} "
-                          f"rc={rc_a}/{rc_b} max_rel={diff[0]:.3g} at {diff[1]} "
-                          f"answers_max_rel={answers[0]:.3g} at {answers[1]}",
-                          flush=True)
+                        diff = max_rel_diff(tree_a, tree_b)
+                        answers = max_rel_diff(tree_a, tree_b, skip={"solver"})
+                console_same = out_a == out_b and err_a == err_b
+                if command == "estimate":
+                    output_ok = diff[0] <= ESTIMATE_RTOL
+                else:
+                    output_ok = file_a == file_b
+                ok &= rc_a == rc_b and console_same and output_ok
+                print(f"seed {seed} {name:<14} {command:<9} "
+                      f"output={'same' if file_a == file_b else 'DIFF'} "
+                      f"console={'same' if console_same else 'DIFF'} "
+                      f"rc={rc_a}/{rc_b} max_rel={diff[0]:.3g} at {diff[1]} "
+                      f"answers_max_rel={answers[0]:.3g} at {answers[1]}",
+                      flush=True)
     return ok
 
 

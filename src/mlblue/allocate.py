@@ -171,16 +171,27 @@ def _feasibility_check(spec: MosapSpec) -> None:
             )
 
 
-def _magnitude_guess(spec: MosapSpec, costs_n: np.ndarray) -> float:
-    """Rough size of the allocation entries at the optimum, in solver units."""
+def _variance_ceilings(spec: MosapSpec) -> np.ndarray:
+    """Per output s, the largest e1'(lifted_k)+e1 over its anchor groups k,
+    the variance of one sample of group k in the SDP's blocks. That variance
+    V_s is convex and nonincreasing in n, and V_s(a n) = V_s(n) / a, so no
+    allocation meeting s's anchor row has V_s above it. Padded with the
+    identity outside its group, each block keeps its inverse: one batch."""
+    return np.array([np.linalg.inv(
+        s.lifted[s.anchor_mask] + np.eye(s.num_models) * ~s.members[s.anchor_mask][:, None]
+    )[:, 0, 0].max() for s in spec.systems])
+
+
+def _magnitude_guess(spec: MosapSpec, costs_n: np.ndarray, tolerances) -> float:
+    """Rough size of the allocation entries at the optimum, in solver units;
+    ``tolerances`` are the variance bounds the SDP holds, in tolerance mode."""
     num_groups = spec.groups.num_groups
     mean_cost = float(np.mean(costs_n))
     v1 = max(s.highfi_variance for s in spec.systems)
     if spec.mode == "budget":
         return max(spec.budget / (num_groups * mean_cost), 1e-6)
     if spec.mode == "tolerance":
-        eps = float(np.min(spec.tolerances))
-        return max(v1 / (eps * num_groups), 1e-6)
+        return max(v1 / (float(np.min(tolerances)) * num_groups), 1e-6)
     # pareto: variance ~ v1 * c_anchor / cost, optimum balances t against tau*cost
     anchor = min(
         float(np.min(costs_n[s.anchor_mask])) for s in spec.systems
@@ -217,8 +228,9 @@ def _build(spec: MosapSpec):
     """Assemble the scaled SdpProblem for any mode.
 
     Returns the problem and the per-group scale with n = alloc_scale * x.
-    In tolerance mode each block corner holds the output's variance bound;
-    otherwise it holds the shared variance variable t.
+    In tolerance mode each block corner holds the output's variance bound,
+    clamped to its ``_variance_ceilings`` (the feasible set stays, and a
+    loose bound no longer swamps the block); otherwise it holds the shared t.
     """
     groups = spec.groups
     num_groups = groups.num_groups
@@ -226,8 +238,9 @@ def _build(spec: MosapSpec):
     costs_n = groups.group_costs / cost_scale
     has_t = spec.mode != "tolerance"
     dim = num_groups + 1 if has_t else num_groups
+    tolerances = None if has_t else np.minimum(spec.tolerances, _variance_ceilings(spec))
 
-    guess = _magnitude_guess(spec, costs_n)
+    guess = _magnitude_guess(spec, costs_n, tolerances)
     # per-group variable scale: the groups of a capped model live at the
     # cap's magnitude, not the global guess, otherwise their solver
     # variables sit many decades below the rest and the primal residual
@@ -264,7 +277,7 @@ def _build(spec: MosapSpec):
         if has_t:
             coeffs[-1, p - 1, p - 1] = bscale / var_scale
         else:
-            constant[p - 1, p - 1] = spec.tolerances[s] * bscale
+            constant[p - 1, p - 1] = tolerances[s] * bscale
         blocks.append(PsdBlock(constant, coeffs))
 
     # the cost row is scaled by its bound, every other row by its largest

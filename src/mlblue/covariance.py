@@ -1,12 +1,11 @@
-"""Covariance estimation, repair, and level extrapolation.
+"""Covariance estimation and level extrapolation.
 
 Everything downstream (estimator assembly, allocation SDPs, baselines) reads
 model covariances from a CovarianceStore: per output, a symmetric matrix
 plus a mask saying which entries are actually known. Unknown entries are
 the single source of truth for which sampling groups are usable; a group
 whose pairwise covariance block has holes is simply not available to the
-estimator. ``spd_repair`` works on one matrix or on a stack of them, so the
-estimator repairs all blocks of one group size in one call.
+estimator.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 __all__ = [
     "CovarianceStore",
     "sample_covariance",
-    "spd_repair",
     "richardson_extrapolate",
     "estimate_decay_rate",
     "reconstruct_highfi_covariance",
@@ -136,40 +134,6 @@ def sample_covariance(samples, available=None) -> CovarianceStore:
         mats[s][np.ix_(cols, cols)] = c
         known[s][np.ix_(cols, cols)] = True
     return CovarianceStore(mats, known)
-
-
-def spd_repair(matrix, floor: float = 1e-10) -> np.ndarray:
-    """Raise small eigenvalues so each matrix is safely positive definite.
-
-    ``matrix`` is one symmetric matrix or a stack of them, shape (..., n, n),
-    and each is repaired on its own: eigenvalues below floor * max_eigenvalue
-    are lifted to that level; if no eigenvalue is positive they are lifted
-    to ``floor`` itself. Every matrix must be symmetric to 1e-12 relative
-    tolerance. Repairing an already repaired matrix is a no-op up to
-    roundoff.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
-    if floor < 0.0:
-        raise ValueError("floor must be nonnegative")
-    stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    flipped = stack.transpose(0, 2, 1)
-    scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
-    asym = np.abs(stack - flipped).max(axis=(1, 2), initial=0.0)
-    if np.any(asym > 1e-12 * np.maximum(scale, 1.0)):
-        raise ValueError("matrix is asymmetric beyond 1e-12 relative tolerance")
-    sym = 0.5 * (stack + flipped)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    lam_max = eigvals[:, -1]
-    level = np.where(lam_max > 0.0, floor * lam_max, floor)
-    repair = eigvals[:, 0] < level
-    if repair.any():
-        vecs = eigvecs[repair]
-        lifted = np.maximum(eigvals[repair], level[repair, None])
-        out = (vecs * lifted[:, None, :]) @ vecs.transpose(0, 2, 1)
-        sym[repair] = 0.5 * (out + out.transpose(0, 2, 1))
-    return sym.reshape(matrix.shape)
 
 
 def richardson_extrapolate(level_values, rate: float, num_finer: int = 1, ratio: float = 2.0):

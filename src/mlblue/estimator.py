@@ -12,7 +12,7 @@ rather than treated as an error.
 An output's blocks are built once, into stacks over the whole group set:
 row k of every stack is group k, and the block of a group the output
 cannot use is zero. The blocks of one group size are gathered, repaired
-and factored by one batched call each.
+and lifted from one batched ``eigh`` and inverted by one batched Cholesky.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceStore, spd_repair
+from .covariance import CovarianceStore
 from .models import GroupSet
 
 __all__ = [
@@ -40,6 +40,11 @@ __all__ = [
 _WELLPOSED_TOL = 1e-8
 # eigenvalues at or below this fraction of the largest count as zero
 _PINV_RTOL = 1e-12
+# a block's eigenvalues below _REPAIR_FLOOR of its largest (or below
+# _REPAIR_FLOOR, if none is positive) are raised to that level before it is
+# inverted; ``lifted`` raises them to _LIFT_FLOOR of the largest
+_REPAIR_FLOOR = 1e-10
+_LIFT_FLOOR = 1e-6
 
 
 class IllPosedError(RuntimeError):
@@ -61,9 +66,9 @@ class BlueSystem:
     block is fully known in the store; every other group behaves as if it
     did not exist for this output, and its blocks are zero. Row k of each
     stack belongs to group k of the group set; the stacks are read-only.
-    ``from_covariance`` raises ValueError naming the first group, in group
-    order, whose repaired block is not finite, and LinAlgError when a
-    repaired block is not positive definite.
+    Each usable block is repaired to be positive definite before it is
+    inverted (see _REPAIR_FLOOR). ``from_covariance`` raises ValueError
+    naming the first group, in group order, whose block is not finite.
     """
 
     output: int
@@ -72,11 +77,11 @@ class BlueSystem:
     # (G, L, L) R_kᵀ C_k⁻¹ R_k at full size, zero outside the group; the
     # inverse comes from the covariance's Cholesky factor
     information: np.ndarray
-    # (G, L, L) the allocation SDP's inverse: eigenvalues below 1e-6 of the
-    # largest are lifted before inverting. A store with a clipped (|rho| = 1)
-    # pair otherwise claims ~1e10 units of information per sample, and the
-    # Newton systems lose those directions in double precision. It only
-    # steers the search; variances are always computed from ``information``.
+    # (G, L, L) the allocation SDP's inverse: the repaired block's eigenvalues
+    # below _LIFT_FLOOR of the largest are lifted before inverting. A store
+    # with a clipped (|rho| = 1) pair otherwise claims ~1e10 units of information
+    # per sample, and the Newton systems lose those directions in double
+    # precision. It only steers the search; variances come from ``information``.
     lifted: np.ndarray
     highfi_variance: float
     anchor_mask: np.ndarray  # (G,) bool: usable and contain model 1
@@ -100,22 +105,29 @@ class BlueSystem:
         shape = (groups.num_groups, groups.num_models, groups.num_models)
         information = np.zeros(shape)
         lifted = np.zeros(shape)
-        # one pass per group size: gather, repair and factor its blocks
+        # one pass per group size: gather, decompose, repair and factor its
+        # blocks; a repaired block is decomposed again, for its lift
         for width in sorted(set(sizes[usable].tolist())):
             rows = np.flatnonzero(usable & (sizes == width))
             idx = np.nonzero(members[rows])[1].reshape(rows.size, width)
-            cov = spd_repair(matrix[idx[:, :, None], idx[:, None, :]])
+            cov = matrix[idx[:, :, None], idx[:, None, :]]
             bad = ~np.isfinite(cov).all(axis=(1, 2))
             if bad.any():
                 group = groups.groups[rows[np.argmax(bad)]]
                 raise ValueError(
                     f"covariance of group {group} for output {output} is not finite"
                 )
-            # raises LinAlgError when a block is not positive definite
+            w, v = np.linalg.eigh(cov)
+            level = np.where(w[:, -1:] > 0.0, _REPAIR_FLOOR * w[:, -1:], _REPAIR_FLOOR)
+            repair = w[:, 0] < level[:, 0]
+            if repair.any():
+                vr, raised = v[repair], np.maximum(w[repair], level[repair])
+                out = (vr * raised[:, None, :]) @ vr.transpose(0, 2, 1)
+                cov[repair] = 0.5 * (out + out.transpose(0, 2, 1))
+                w[repair], v[repair] = np.linalg.eigh(cov[repair])
             linv = np.linalg.inv(np.linalg.cholesky(cov))
             inv = linv.transpose(0, 2, 1) @ linv
-            w, v = np.linalg.eigh(cov)
-            lifts = np.maximum(w, 1e-6 * w[:, -1:])
+            lifts = np.maximum(w, _LIFT_FLOOR * w[:, -1:])
             lift = (v / lifts[:, None, :]) @ v.transpose(0, 2, 1)
             at = (rows[:, None, None], idx[:, :, None], idx[:, None, :])
             information[at] = 0.5 * (inv + inv.transpose(0, 2, 1))

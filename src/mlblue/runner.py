@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-# seconds an evaluator may take to exit after its input closes before it is killed
+# seconds the evaluator of a successful run may take to exit before it is killed
 _EVALUATOR_EXIT_GRACE = 10.0
 
 
@@ -233,6 +233,10 @@ def run_estimate(config: ProblemConfig, allocation,
                     "/mode", f"group {group} needs {count} samples per "
                     f"replication, which do not fit in memory ({exc})"
                 ) from None
+    except BaseException:  # a failed run gives the evaluator no grace to exit
+        if evaluator is not None:
+            evaluator.proc.kill()
+        raise
     finally:
         if evaluator is not None:
             evaluator.close()

@@ -16,9 +16,11 @@ from mlblue.allocate import (
     pareto_sweep,
     solve_mosap,
 )
+from mlblue.config import parse_problem
 from mlblue.covariance import CovarianceStore
 from mlblue.estimator import BlueSystem, assemble_psi, blue_variance
 from mlblue.models import ModelSet, enumerate_groups
+from mlblue.runner import spec_from_config
 from mlblue.sdp import SdpSettings
 from mlblue.synthetic import SyntheticSuite
 
@@ -83,6 +85,32 @@ def test_tolerance_cost_monotone_in_eps():
         )
         costs.append(solve_mosap(spec).total_cost)
     assert all(a >= b * (1 - 1e-6) for a, b in zip(costs, costs[1:]))
+
+
+@pytest.mark.parametrize("eps2", [1e10, 1e150, 1e200, 1e300])
+def test_loose_tolerance_solves_as_its_variance_ceiling(eps2):
+    # the README quick start in tolerance mode; no allocation that meets the
+    # anchor row has a variance above the ceiling, so a larger tolerance
+    # bounds nothing and solves as the ceiling does
+    loose = spec_from_config(parse_problem({
+        "models": {"costs": [64, 8, 1]},
+        "synthetic": {"hierarchy": {"rate": 2.0, "strength": 0.05}},
+        "covariance": {"type": "synthetic"},
+        "groups": {"kappa": 3},
+        "mode": {"type": "tolerance", "eps2": eps2},
+        "seed": 7,
+    }))
+    (system,) = loose.systems
+    ceiling = allocate._variance_ceilings(loose)
+    one_sample = [np.linalg.pinv(system.lifted[k])[0, 0]
+                  for k in np.flatnonzero(system.anchor_mask)]
+    assert ceiling == pytest.approx([max(one_sample)], rel=1e-12)
+    tight = replace(loose, tolerances=ceiling)
+    a, b = solve_mosap(loose), solve_mosap(tight)
+    assert np.array_equal(a.n, b.n)
+    assert a.solver_iterations == b.solver_iterations <= 12
+    a, b = integer_projection(loose, a), integer_projection(tight, b)
+    assert np.array_equal(a.n, b.n) and a.total_cost == 64.0
 
 
 def test_sdp_corner_agrees_with_recomputed_variance():

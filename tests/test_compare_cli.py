@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mlblue.config import parse_problem
-from mlblue.estimator import usable_groups
+from mlblue.estimator import _REPAIR_FLOOR, usable_groups
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli.py"
 
@@ -80,12 +80,26 @@ def test_skipped_members_leave_the_answers_difference():
     assert max_rel_diff(tree, TREE, skip={"solver"}) == (math.inf, "/")
 
 
+def repaired_blocks(cfg, output, usable):
+    """How many usable covariance blocks of ``output`` the estimator repairs:
+    those with an eigenvalue below _REPAIR_FLOOR of their largest."""
+    count = 0
+    for k in np.flatnonzero(usable):
+        idx = np.asarray(cfg.groups.groups[k]) - 1
+        w = np.linalg.eigvalsh(cfg.store.matrices[output - 1][np.ix_(idx, idx)])
+        count += w[0] < _REPAIR_FLOOR * w[-1]
+    return count
+
+
 @pytest.mark.parametrize("seed", compare_cli.SEEDS)
 def test_fixed_configs_have_groups_some_output_cannot_use(seed):
-    # the benchmark's configs do not, so these are the tool's only view of
-    # how such groups are handled
+    # the benchmark's configs do not, and need no repaired block either, so
+    # these are the tool's only view of how such groups are handled
     for name, config, _ in compare_cli.fixed_configs(seed):
         cfg = parse_problem(json.loads(json.dumps(config)))
         usable = [usable_groups(cfg.groups, cfg.store, s)
                   for s in range(1, cfg.num_outputs + 1)]
         assert not np.all(usable), name
+        if name == "rank-2-4x2":
+            assert sum(repaired_blocks(cfg, s, mask)
+                       for s, mask in enumerate(usable, start=1)) > 0

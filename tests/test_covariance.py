@@ -7,7 +7,6 @@ from mlblue.covariance import (
     reconstruct_highfi_covariance,
     richardson_extrapolate,
     sample_covariance,
-    spd_repair,
 )
 from mlblue.synthetic import SyntheticSuite
 
@@ -76,57 +75,6 @@ def test_sample_covariance_rejects_bad_input():
         sample_covariance([1.0, 2.0])
     with pytest.raises(ValueError, match="available mask shape mismatch"):
         sample_covariance(np.ones((3, 2)), [True, True, True])
-
-
-def test_spd_repair_leaves_identity_alone():
-    assert np.array_equal(spd_repair(np.eye(3)), np.eye(3))
-
-
-def test_spd_repair_lifts_zero_eigenvalue():
-    out = spd_repair(np.diag([1.0, 0.0]), floor=1e-8)
-    assert np.allclose(out, np.diag([1.0, 1e-8]))
-
-
-def test_spd_repair_rank_one_case():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    out = spd_repair(np.outer(v, v), floor=1e-8)
-    w = np.linalg.eigvalsh(out)
-    assert w[-1] == pytest.approx(1.0, rel=1e-12)
-    assert w[:3] == pytest.approx(np.full(3, 1e-8), rel=1e-6)
-
-
-def test_spd_repair_idempotent():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((5, 5))
-    m = a @ a.T - 2.0 * np.eye(5)  # indefinite on purpose
-    once = spd_repair(m, floor=1e-6)
-    twice = spd_repair(once, floor=1e-6)
-    w1 = np.linalg.eigvalsh(once)
-    w2 = np.linalg.eigvalsh(twice)
-    assert np.all(np.abs(w1 - w2) <= 8 * np.spacing(np.abs(w1).max()))
-
-
-def test_spd_repair_rejects_asymmetric():
-    with pytest.raises(ValueError, match="asymmetric"):
-        spd_repair(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_spd_repair_stack_matches_each_matrix():
-    stack = np.array([
-        [[2.0, 0.5], [0.5, 1.0]],
-        [[1.0, 1.0], [1.0, 1.0]],  # singular: needs the repair
-        [[4.0, -1.0], [-1.0, 3.0]],
-    ])
-    out = spd_repair(stack, floor=1e-8)
-    assert out.shape == stack.shape
-    for block, repaired in zip(stack, out):
-        assert np.array_equal(repaired, spd_repair(block, floor=1e-8))
-    assert not np.array_equal(out[1], stack[1])
-    stack[2, 0, 1] = 0.0
-    with pytest.raises(ValueError, match="asymmetric"):
-        spd_repair(stack)
 
 
 def test_store_rejects_asymmetric_known_entries():
@@ -234,10 +182,6 @@ COVARIANCE_OUTCOMES = {
                  (1, 2, 2)),
     "known-shape": (lambda: CovarianceStore(np.eye(2), known=np.ones((3, 3), bool)),
                     ValueError("known mask shape mismatch")),
-    "repair-not-square": (lambda: spd_repair(np.ones((2, 3))),
-                          ValueError("expected a square matrix or a stack of them")),
-    "repair-floor": (lambda: spd_repair(np.eye(2), floor=-1.0),
-                     ValueError("floor must be nonnegative")),
     "richardson-one-level": (lambda: richardson_extrapolate([1.0], 2.0),
                              ValueError("need at least two known level values")),
     "richardson-nan": (lambda: richardson_extrapolate([1.0, np.nan], 2.0),

@@ -316,9 +316,13 @@ def _group_by_group_stacks(groups, store, output):
     return usable, members, information, lifted
 
 
-def _near_collinear(rho):
-    cov = np.array([[1.0, rho, 0.5], [rho, 1.0, 0.3], [0.5, 0.3, 1.0]])
+def _three_models(cov):
     return enumerate_groups(ModelSet([4.0, 2.0, 1.0])), CovarianceStore(cov[None])
+
+
+def _near_collinear(rho):
+    return _three_models(np.array([[1.0, rho, 0.5], [rho, 1.0, 0.3],
+                                   [0.5, 0.3, 1.0]]))
 
 
 def _rank_deficient():
@@ -349,8 +353,14 @@ def _ladder():
     _rank_deficient,
     _two_outputs,
     _ladder,
+    # no positive eigenvalue, every eigenvalue negative, and no repair at all
+    lambda: _three_models(np.zeros((3, 3))),
+    lambda: _three_models(-np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2],
+                                     [0.1, 0.2, 1.5]])),
+    lambda: _three_models(np.eye(3)),
 ], ids=["rho-1e-10", "rho-1e-13", "rho-1", "rho+1e-12", "rank-deficient",
-        "two-outputs", "ladder-12"])
+        "two-outputs", "ladder-12", "all-zero", "negative-definite",
+        "identity"])
 def test_stacks_bit_identical_to_group_by_group_build(case):
     gs, store = case()
     for s in range(1, store.num_outputs + 1):

@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import textwrap
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -472,9 +473,8 @@ def test_command_evaluator_closing_its_input_is_an_evaluator_failure(tmp_path):
         run_estimate(cfg, n, replications=1)
 
 
-@pytest.mark.parametrize("script", [EVALUATOR, "import sys\nsys.stdin.readline()\n"],
-                         ids=["answers", "dies"])
-def test_command_evaluator_closes_its_pipes(tmp_path, monkeypatch, script):
+def record_evaluators(monkeypatch):
+    """The list every _CommandEvaluator started from now on is appended to."""
     started = []
 
     class Recorded(runner._CommandEvaluator):
@@ -483,6 +483,13 @@ def test_command_evaluator_closes_its_pipes(tmp_path, monkeypatch, script):
             started.append(self)
 
     monkeypatch.setattr(runner, "_CommandEvaluator", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("script", [EVALUATOR, "import sys\nsys.stdin.readline()\n"],
+                         ids=["answers", "dies"])
+def test_command_evaluator_closes_its_pipes(tmp_path, monkeypatch, script):
+    started = record_evaluators(monkeypatch)
     cfg = command_config(tmp_path, script=script)
     n = np.zeros(cfg.groups.num_groups)
     n[cfg.groups.groups.index((1,))] = 2
@@ -491,6 +498,24 @@ def test_command_evaluator_closes_its_pipes(tmp_path, monkeypatch, script):
     else:
         with pytest.raises(EvaluatorError, match="closed its output"):
             run_estimate(cfg, n, replications=1)
+    (evaluator,) = started
+    assert evaluator.proc.stdin.closed and evaluator.proc.stdout.closed
+    assert evaluator.proc.returncode is not None
+
+
+def test_failed_evaluator_is_killed_without_the_exit_grace(tmp_path, monkeypatch):
+    # one bad answer, then the evaluator neither reads its input nor exits:
+    # the failed run must not wait the grace out
+    stalling = ('import sys, time\nsys.stdin.readline()\n'
+                'print("not json", flush=True)\ntime.sleep(60)\n')
+    started = record_evaluators(monkeypatch)
+    cfg = command_config(tmp_path, script=stalling)
+    n = np.zeros(cfg.groups.num_groups)
+    n[cfg.groups.groups.index((1,))] = 2
+    start = time.perf_counter()
+    with pytest.raises(EvaluatorError, match="bad evaluator response"):
+        run_estimate(cfg, n, replications=1)
+    assert time.perf_counter() - start < 2.0
     (evaluator,) = started
     assert evaluator.proc.stdin.closed and evaluator.proc.stdout.closed
     assert evaluator.proc.returncode is not None

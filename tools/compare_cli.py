@@ -4,10 +4,12 @@
 
 For seeds 1 and 2, the configs of every workload in ``perfbench/workloads.py``
 (the copy next to this script, imported read-only) are generated once. The
-benchmark's configs put every model on every output, so four fixed configs
+benchmark's configs put every model on every output, so five fixed configs
 of this script's own add groups that some output cannot use: models that
 miss an output, an unknown (``null``) covariance pair, a deny list and a
-model cap; each runs through every subcommand its mode allows. Each
+model cap; each runs through every subcommand its mode allows. The one with
+fewer factors than models has singular covariance blocks, which the
+estimator repairs and no benchmark config has. Each
 operation then runs as ``python -m mlblue`` with each tree's ``src`` on
 PYTHONPATH, in a directory of its own with the same relative file names, so
 the two runs see identical arguments. One line per operation reports whether
@@ -54,13 +56,16 @@ def fixed_configs(seed):
 
     The loadings are the benchmark's hierarchy suite, whose strong
     correlations make the low-fidelity groups worth sampling, plus 0.05
-    times its random suite at ``seed``; costs fall by a factor 4 per model.
+    times its random suite at ``seed``, cut to their first ``factors``
+    columns when that is given; costs fall by a factor 4 per model.
     """
-    def config(num_models, num_outputs, mode, outputs=None, **extra):
+    def config(num_models, num_outputs, mode, outputs=None, factors=None,
+               **extra):
         hierarchy = workloads.hierarchy_suite(num_models, num_outputs,
                                               rate=2.0, strength=0.05)
         loadings = 0.05 * workloads.random_suite(num_models, num_outputs, seed)
         loadings[:, :, :-1] += hierarchy
+        loadings = loadings[:, :, :factors]
         models = {"costs": (4.0 ** np.arange(num_models - 1, -1, -1)).tolist(),
                   "num_outputs": num_outputs}
         if outputs is not None:
@@ -83,10 +88,15 @@ def fixed_configs(seed):
     caps = config(4, 2, {"type": "budget", "budget": 600.0},
                   outputs=[[1, 2], [1], [1, 2], [2]],
                   constraints={"model_caps": [None, 40, 20, 30]})
+    # two factors: each output's three-model group has a singular covariance
+    rank_deficient = config(4, 2, {"type": "tolerance", "eps2": [0.01, 0.01]},
+                            outputs=[[1, 2], [1, 2], [1], [2]], factors=2,
+                            groups={"kappa": 3})
     return [("outputs-4x2", outputs, ("allocate", "benchmark", "estimate")),
             ("null-pair-4x1", null_pair, ("allocate", "estimate")),
             ("deny-5x2", deny, ("allocate", "estimate", "pareto")),
-            ("caps-4x2", caps, ("allocate", "estimate"))]
+            ("caps-4x2", caps, ("allocate", "estimate")),
+            ("rank-2-4x2", rank_deficient, ("allocate", "benchmark", "estimate"))]
 
 
 def operations(seed):
